@@ -20,7 +20,7 @@ Modes
 - ``--profile``: run each selected scenario once with the
   :class:`~repro.telemetry.profiler.EngineProfiler` attached and print the
   dispatch-time breakdown by callback kind instead of the timing table
-  (profiled runs use a timing dispatch loop; never gate on them).
+  (profiled runs time every event; never gate on them).
 
 The throughput gate is only meaningful when both sides ran on the same
 machine.  CI therefore benchmarks the merge-base and the PR head in one

@@ -30,11 +30,10 @@ Mechanics
   mirroring the spec's protocol), so ``step(None)`` on every boundary
   reproduces the uncontrolled run **byte-for-byte** — the determinism
   tier asserts this.
-- The environment builds its simulator with ``native=False`` and sets
-  ``control_active``; the engine refuses to combine step boundaries with
-  the native core (whose event heap the pure loop cannot see).  The
-  validated and profiled loops are pure and honour ``request_stop``, so
-  ``validate=True`` / a profiler compose with control.
+- Step boundaries are plain ``request_stop`` calls, which every dispatch
+  mode honours, so ``validate=True`` composes with control.  The
+  environment builds its simulator with ``native=False``: the repo
+  benchmark's ``control-env`` workload is its Python-loop canary.
 - Determinism: the env draws no randomness of its own; all stream draws
   happen at the same ``next_sequence`` offsets as the uncontrolled run.
   Two envs driven with the same action sequence produce identical
@@ -278,7 +277,6 @@ class ControlEnv:
         """Build a fresh simulation and run it to the first step boundary."""
         self.close()
         sim = Simulator(seed=self.seed, validate=self.validate, native=False)
-        sim.control_active = True
         self.sim = sim
         self._bridges = []
         self._bridge_by_flow = {}

@@ -62,6 +62,11 @@ def _freeze(overrides: Optional[Mapping[str, object]]) -> Overrides:
     return tuple(sorted(overrides.items()))
 
 
+def _listify(value: tuple) -> list:
+    """Tuples to lists at every depth, as a trip through JSON does."""
+    return [_listify(item) if item.__class__ is tuple else item for item in value]
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Everything needed to reproduce one (protocol, N, seed) measurement."""
@@ -181,12 +186,13 @@ class ScenarioSpec:
 
     # -- identity --------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (tuples become lists)."""
+        """JSON-ready representation: tuples become lists at every depth, so
+        the dict equals its own JSON round trip (the caches compare the two)."""
         out: Dict[str, object] = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = [list(pair) for pair in value]
+            if value.__class__ is tuple:
+                value = _listify(value)
             out[f.name] = value
         return out
 

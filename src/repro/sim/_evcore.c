@@ -217,14 +217,42 @@ EventCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     return (PyObject *)self;
 }
 
+/* The pending entries' callbacks are usually bound methods of components
+ * that hold the Simulator that holds this core, so the core takes part in
+ * cyclic GC: without it every dropped simulation leaked whole. */
+static int
+EventCore_traverse(EventCore *self, visitproc visit, void *arg)
+{
+    for (Py_ssize_t i = 0; i < self->size; i++) {
+        Py_VISIT(self->heap[i].cb);
+        Py_VISIT(self->heap[i].arg);
+    }
+    return 0;
+}
+
+/* tp_clear: drop every pending entry.  The heap is detached first, because
+ * a DECREF can run arbitrary code that pushes to this core again. */
+static int
+EventCore_drop_entries(EventCore *self)
+{
+    LEntry *heap = self->heap;
+    Py_ssize_t size = self->size;
+    self->heap = NULL;
+    self->size = 0;
+    self->capacity = 0;
+    for (Py_ssize_t i = 0; i < size; i++) {
+        Py_DECREF(heap[i].cb);
+        Py_DECREF(heap[i].arg);
+    }
+    PyMem_Free(heap);
+    return 0;
+}
+
 static void
 EventCore_dealloc(EventCore *self)
 {
-    for (Py_ssize_t i = 0; i < self->size; i++) {
-        Py_DECREF(self->heap[i].cb);
-        Py_DECREF(self->heap[i].arg);
-    }
-    PyMem_Free(self->heap);
+    PyObject_GC_UnTrack(self);
+    EventCore_drop_entries(self);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -267,11 +295,7 @@ EventCore_peek_time(EventCore *self, PyObject *Py_UNUSED(ignored))
 static PyObject *
 EventCore_clear(EventCore *self, PyObject *Py_UNUSED(ignored))
 {
-    for (Py_ssize_t i = 0; i < self->size; i++) {
-        Py_DECREF(self->heap[i].cb);
-        Py_DECREF(self->heap[i].arg);
-    }
-    self->size = 0;
+    EventCore_drop_entries(self);
     Py_RETURN_NONE;
 }
 
@@ -690,10 +714,12 @@ static PyTypeObject EventCoreType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "_evcore.EventCore",
     .tp_basicsize = sizeof(EventCore),
-    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "Native light-event heap + fused dispatch loop.",
     .tp_new = EventCore_new,
     .tp_dealloc = (destructor)EventCore_dealloc,
+    .tp_traverse = (traverseproc)EventCore_traverse,
+    .tp_clear = (inquiry)EventCore_drop_entries,
     .tp_methods = EventCore_methods,
     .tp_as_sequence = &EventCore_as_sequence,
 };

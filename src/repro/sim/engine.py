@@ -14,7 +14,12 @@ the head event's time is established, every consecutive event at that
 time is drained in one inner loop, so the clock store, the ``until``
 bound and the head-of-heap rescan are paid once per distinct timestamp
 instead of once per event (packet-level simulations tie heavily — fan-in
-arrivals, ACK bursts, zero-delay control packets).
+arrivals, ACK bursts, zero-delay control packets).  That loop is the only
+Python dispatch loop: an attached invariant checker or profiler is read
+into a local once per ``run()`` call and branched on inside it, so an
+instrumented run executes the code the figures run on.  Without either,
+``run()`` hands the same frame to the optional C event core
+(``_evcore.c``), which is bit-compatible with the loop.
 
 The simulator also owns the struct-of-arrays stores the components share:
 ``sim.pool`` (the :class:`~repro.net.pool.PacketPool` packet flyweights)
@@ -35,6 +40,7 @@ import gc
 import os
 from heapq import heappop, heappush, heapreplace
 from sys import maxsize
+from time import perf_counter
 from typing import Callable, Optional
 
 from ._native import core_factory
@@ -62,19 +68,24 @@ class Simulator:
         Master seed for the per-component RNG registry.
     validate:
         Attach a :class:`repro.validate.InvariantChecker` that components
-        register with at construction and that the (separate, slower)
-        validated dispatch loop sweeps while running.  ``None`` (default)
-        consults the ``REPRO_VALIDATE`` environment variable; ``False``
-        leaves ``checker`` as ``None`` and the hot path untouched.
+        register with at construction and that :meth:`run` sweeps while
+        dispatching.  ``None`` (default) consults the ``REPRO_VALIDATE``
+        environment variable; ``False`` leaves ``checker`` as ``None``.
     tracer:
         Attach a :class:`repro.telemetry.Tracer` recording typed event
         records from the component hook points.  The tracer schedules no
         events, so event counts and digests match untraced runs exactly.
     profiler:
-        Attach a :class:`repro.telemetry.EngineProfiler`; dispatch then
-        runs through a (slower) timing loop attributing wall time per
-        callback kind.  Ignored while a checker is attached (the validated
-        loop takes priority).
+        Attach a :class:`repro.telemetry.EngineProfiler`; :meth:`run` then
+        times every callback and attributes the wall time to its kind.
+        Composes with ``validate``.
+    native:
+        Dispatch through the C event core.  ``None`` (default) means "when
+        it is available and neither a checker nor a profiler is attached"
+        — those two observe the Python loop, so they pin dispatch to it,
+        and ``native=True`` with either raises :class:`SimulationError`.
+        ``False`` forces the Python loop (as ``REPRO_NATIVE=0`` does for
+        every simulator in the process).
 
     ``checker`` and ``tracer`` both observe the simulation through one
     :class:`repro.telemetry.HookRegistry` (``self.hooks``); components
@@ -100,7 +111,6 @@ class Simulator:
         "_core",
         "push_light",
         "_stop",
-        "control_active",
     )
 
     def __init__(
@@ -123,9 +133,6 @@ class Simulator:
         self.pool = None
         self.flows = None
         self._stop = False
-        # Set by repro.control.ControlEnv while step boundaries are armed;
-        # pins dispatch to the pure Python loops (see run()).
-        self.control_active = False
         if validate is None:
             validate = _env_validate()
         if validate:
@@ -154,9 +161,8 @@ class Simulator:
             self.hooks = None
         # Native event core (see repro/sim/_evcore.c): owns the light-event
         # heap, the global sequence counter, and the dispatch loop.  The
-        # mode is fixed here, once — the validated and profiled loops are
-        # the ground truth the native loop is measured against, so a
-        # checker or profiler always pins the simulator to pure Python.
+        # mode is fixed here, once — the checker and the profiler are fed
+        # from inside the Python loop, so either pins the simulator to it.
         core = None
         if native is None:
             native = self.checker is None and profiler is None
@@ -202,41 +208,11 @@ class Simulator:
         return self._packet_seq
 
     # -- scheduling -----------------------------------------------------------
-    def _push_event(self, time: int, callback: Callable[..., None], args: tuple) -> Event:
-        # Mirrors EventQueue.push, inlined: this runs for every regular
-        # event and the queue-level call frame is measurable at that rate.
-        # Any change to the push protocol must be made in both places.
-        queue = self.queue
-        core = self._core
-        if core is None:
-            seq = queue._seq
-            queue._seq = seq + 1
-        else:
-            # The native core owns the simulation-wide sequence counter so
-            # light events (filed in its C heap) and regular events (filed
-            # here) share one totally ordered (time, seq) stream.
-            seq = core.take_seq()
-        free = queue._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.deadline = time
-            ev._dseq = seq
-            ev.callback = callback
-            ev.args = args
-            ev.cancelled = False
-        else:
-            ev = Event(time, seq, callback, args)
-        queue._live += 1
-        heappush(queue._heap, (time, seq, ev))
-        return ev
-
     def schedule(self, delay: int, callback: Callable[..., None], *args) -> Event:
         """Run ``callback(*args)`` after ``delay`` ns of simulated time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
-        return self._push_event(self.now + delay, callback, args)
+        return self.queue.push(self.now + delay, callback, args)
 
     def _push_light_py(self, time: int, callback: Callable[[int], None], arg: int) -> None:
         # Pure-Python implementation behind `push_light` (native mode binds
@@ -271,7 +247,7 @@ class Simulator:
         """Run ``callback(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise SimulationError(f"cannot schedule at t={time} before current time t={self.now}")
-        return self._push_event(time, callback, args)
+        return self.queue.push(time, callback, args)
 
     def reschedule(
         self, event: Optional[Event], delay: int, callback: Callable[..., None], *args
@@ -323,31 +299,17 @@ class Simulator:
             completion without draining idle timers).
 
         Returns the number of events processed in this call.
+
+        An attached checker is told every dispatched timestamp and sweeps
+        inline every ``checker.sweep_every`` events and once more when the
+        call returns; an attached profiler times every callback and is
+        told every same-timestamp batch.  Neither schedules anything, so
+        observed runs dispatch the exact event sequence of plain ones.
         """
-        if self.checker is not None:
-            return self._run_validated(until, max_events, stop_when)
-        if self.profiler is not None:
-            return self._run_profiled(until, max_events, stop_when)
-        if self._core is not None:
-            if self.control_active:
-                # Mirror of the native/validate exclusion above: a control
-                # env relies on request_stop() step boundaries, and light
-                # events already live in the C core's heap, so silently
-                # falling back to the pure loop would drop them.  The env
-                # must build its Simulator with native=False.
-                raise SimulationError(
-                    "native dispatch cannot be combined with an attached "
-                    "ControlEnv; build the Simulator with native=False"
-                )
-            return self._run_native(until, max_events, stop_when)
         queue = self.queue
-        # The dispatch loop works on the queue's raw heap (same entry
-        # layout as EventQueue.pop) so each event costs one tuple unpack
-        # instead of two method calls; heapq functions and the freelist
-        # are bound to locals for the same reason.
-        heap = queue._heap
-        free = queue._free
-        free_append = free.append
+        core = self._core
+        checker = self.checker
+        profiler = self.profiler
         limit = maxsize if max_events is None else max_events
         processed = 0
         self._running = True
@@ -355,318 +317,146 @@ class Simulator:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
+        if profiler is not None:
+            counts = profiler.counts
+            times = profiler.times_s
+            batch_kinds: list = []
+            wall_started = perf_counter()
         try:
-            running = True
-            while running and processed < limit:
-                # Establish the next live head event (skipping cancelled
-                # carcasses, re-filing deferred reschedules).  Light
-                # entries — bare (time, seq, callback, arg) tuples, see
-                # Simulator.schedule_light — are always live, so they
-                # skip every check.
-                ev = None
-                while heap:
-                    entry = heap[0]
-                    ev = entry[2]
-                    ev_time = entry[0]
-                    if ev.__class__ is Event:
-                        if ev.cancelled:
-                            heappop(heap)
+            if core is not None:
+                # Same (time, seq) order, stop-condition order and freelist
+                # recycling as the loop below (see _evcore.c).
+                processed = core.run(
+                    self, queue, until, limit, stop_when, _noop, FREELIST_MAX, Event
+                )
+            else:
+                # The loop works on the queue's raw heap (same entry layout
+                # as EventQueue.pop, the reference it is tested against) so
+                # each event costs one tuple unpack instead of two method
+                # calls; heapq functions and the freelist are bound to
+                # locals for the same reason.
+                heap = queue._heap
+                free = queue._free
+                free_append = free.append
+                since_sweep = 0
+                running = True
+                while running and processed < limit:
+                    # Establish the next live head event (skipping cancelled
+                    # carcasses, re-filing deferred reschedules).  Light
+                    # entries — bare (time, seq, callback, arg) tuples, see
+                    # Simulator.schedule_light — are always live, so they
+                    # skip every check.
+                    ev = None
+                    while heap:
+                        entry = heap[0]
+                        ev = entry[2]
+                        ev_time = entry[0]
+                        if ev.__class__ is Event:
+                            if ev.cancelled:
+                                heappop(heap)
+                                if len(free) < FREELIST_MAX:
+                                    free_append(ev)
+                                ev = None
+                                continue
+                            deadline = ev.deadline
+                            if deadline > ev_time:
+                                # Stale slot from a reschedule: re-file at
+                                # the true deadline.
+                                ev.time = deadline
+                                ev.seq = ev._dseq
+                                heapreplace(heap, (deadline, ev._dseq, ev))
+                                ev = None
+                                continue
+                        break
+                    if ev is None:
+                        break
+                    if until is not None and ev_time > until:
+                        self.now = until
+                        break
+                    if checker is not None:
+                        checker.check_dispatch_time(ev_time)
+                    self.now = ev_time
+                    # Same-timestamp batch: every consecutive live event at
+                    # ev_time dispatches here without re-checking `until` or
+                    # re-storing the clock.  Events scheduled *during* the
+                    # batch with zero delay land at ev_time with higher seq
+                    # and are picked up by the same loop, preserving exact
+                    # (time, seq) order.
+                    while True:
+                        heappop(heap)
+                        queue._live -= 1
+                        if profiler is not None:
+                            started = perf_counter()
+                        if ev.__class__ is Event:
+                            ev.deadline = -1  # fired: no longer pending
+                            callback = ev.callback
+                            callback(*ev.args)
+                            # Recycle the fired event.  Safe because handles
+                            # are single-use: every component that stores
+                            # one clears or overwrites its reference inside
+                            # the callback (and cancel/reschedule on a fired
+                            # handle are no-ops), so nothing can reach `ev`
+                            # once its callback has run.
                             if len(free) < FREELIST_MAX:
+                                ev.callback = _noop
+                                ev.args = ()
                                 free_append(ev)
-                            ev = None
-                            continue
-                        deadline = ev.deadline
-                        if deadline > ev_time:
-                            # Stale slot from a reschedule: re-file at the
-                            # true deadline.
-                            ev.time = deadline
-                            ev.seq = ev._dseq
-                            heapreplace(heap, (deadline, ev._dseq, ev))
-                            ev = None
-                            continue
-                    break
-                if ev is None:
-                    break
-                if until is not None and ev_time > until:
-                    self.now = until
-                    break
-                self.now = ev_time
-                # Same-timestamp batch: every consecutive live event at
-                # ev_time dispatches here without re-checking `until` or
-                # re-storing the clock.  Events scheduled *during* the
-                # batch with zero delay land at ev_time with higher seq
-                # and are picked up by the same loop, preserving exact
-                # (time, seq) order.
-                while True:
-                    heappop(heap)
-                    queue._live -= 1
-                    if ev.__class__ is Event:
-                        ev.deadline = -1  # fired: no longer pending
-                        ev.callback(*ev.args)
-                        # Recycle the fired event.  Safe because handles
-                        # are single-use: every component that stores one
-                        # clears or overwrites its reference inside the
-                        # callback (and cancel/reschedule on a fired
-                        # handle are no-ops), so nothing can reach `ev`
-                        # once its callback has run.
-                        if len(free) < FREELIST_MAX:
-                            ev.callback = _noop
-                            ev.args = ()
-                            free_append(ev)
-                    else:
-                        ev(entry[3])
-                    processed += 1
-                    if (
-                        self._stop
-                        or (stop_when is not None and stop_when())
-                        or processed >= limit
-                    ):
-                        running = False
-                        break
-                    if not heap:
-                        break
-                    entry = heap[0]
-                    if entry[0] != ev_time:
-                        break
-                    ev = entry[2]
-                    if ev.__class__ is Event and (ev.cancelled or ev.deadline > ev_time):
-                        # Rare in-batch carcass/deferral: fall back to the
-                        # outer scan, which re-enters the batch if more
-                        # live events remain at this timestamp.
-                        break
+                        else:
+                            callback = ev
+                            callback(entry[3])
+                        processed += 1
+                        if profiler is not None:
+                            elapsed = perf_counter() - started
+                            kind = (
+                                getattr(callback, "__qualname__", None) or type(callback).__name__
+                            )
+                            counts[kind] = counts.get(kind, 0) + 1
+                            times[kind] = times.get(kind, 0.0) + elapsed
+                            batch_kinds.append(kind)
+                        if checker is not None:
+                            since_sweep += 1
+                            if since_sweep >= checker.sweep_every:
+                                since_sweep = 0
+                                checker.sweep()
+                        if (
+                            self._stop
+                            or (stop_when is not None and stop_when())
+                            or processed >= limit
+                        ):
+                            running = False
+                            break
+                        if not heap:
+                            break
+                        entry = heap[0]
+                        if entry[0] != ev_time:
+                            break
+                        ev = entry[2]
+                        if ev.__class__ is Event and (ev.cancelled or ev.deadline > ev_time):
+                            # Rare in-batch carcass/deferral: fall back to
+                            # the outer scan, which re-enters the batch if
+                            # more live events remain at this timestamp.
+                            break
+                    if profiler is not None:
+                        profiler.record_batch(batch_kinds)
+                        del batch_kinds[:]
         finally:
             if gc_was_enabled:
                 gc.enable()
             self._running = False
-            self.events_processed += processed
-        if until is not None and self.now < until and queue.peek_time() is None:
-            self.now = until
-        return processed
-
-    def _run_native(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> int:
-        """Dispatch through the C event core (see ``_evcore.c``).
-
-        Semantically identical to :meth:`run` — same (time, seq) dispatch
-        order, same stop-condition order, same freelist recycling, same
-        ``events_processed`` accounting (the core credits partial progress
-        even when a callback raises, matching the pure loop's ``finally``).
-        """
-        core = self._core
-        queue = self.queue
-        limit = maxsize if max_events is None else max_events
-        self._running = True
-        self._stop = False
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            processed = core.run(
-                self, queue, until, limit, stop_when, _noop, FREELIST_MAX, Event
-            )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            self._running = False
+            if core is None:
+                # The C loop credits its own progress: it has to when a
+                # callback raises, because core.run then returns no count.
+                self.events_processed += processed
+            if profiler is not None:
+                profiler.record_run(processed, perf_counter() - wall_started)
+        if checker is not None:
+            checker.sweep()
         if (
             until is not None
             and self.now < until
-            and len(core) == 0
+            and (core is None or len(core) == 0)
             and queue.peek_time() is None
         ):
-            self.now = until
-        return processed
-
-    def _run_validated(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> int:
-        """Dispatch loop used when an :class:`InvariantChecker` is attached.
-
-        Semantically identical to :meth:`run` — same ordering, same stop
-        conditions, same ``events_processed`` accounting — but it asserts
-        monotone non-decreasing dispatch timestamps and sweeps the checker
-        inline every ``checker.sweep_every`` events.  Sweeps are *not*
-        scheduled events, so event counts and digests match unvalidated
-        runs exactly.  Fired events are not recycled to the freelist here;
-        the only difference is object identity, which no component can
-        observe (handles are single-use).  Dispatch stays strictly
-        per-event (no batching) so ``check_dispatch_time`` sees every
-        event — the checker is the ground truth the batched loop is
-        measured against.
-        """
-        queue = self.queue
-        heap = queue._heap
-        checker = self.checker
-        sweep_every = checker.sweep_every
-        since_sweep = 0
-        processed = 0
-        self._running = True
-        self._stop = False
-        try:
-            while True:
-                if max_events is not None and processed >= max_events:
-                    break
-                ev = None
-                while heap:
-                    entry = heap[0]
-                    ev = entry[2]
-                    ev_time = entry[0]
-                    if ev.__class__ is Event:
-                        if ev.cancelled:
-                            heappop(heap)
-                            ev = None
-                            continue
-                        deadline = ev.deadline
-                        if deadline > ev_time:
-                            ev.time = deadline
-                            ev.seq = ev._dseq
-                            heapreplace(heap, (deadline, ev._dseq, ev))
-                            ev = None
-                            continue
-                    break
-                if ev is None:
-                    break
-                if until is not None and ev_time > until:
-                    self.now = until
-                    break
-                checker.check_dispatch_time(ev_time)
-                heappop(heap)
-                queue._live -= 1
-                self.now = ev_time
-                if ev.__class__ is Event:
-                    ev.deadline = -1
-                    ev.callback(*ev.args)
-                else:
-                    ev(entry[3])
-                processed += 1
-                since_sweep += 1
-                if since_sweep >= sweep_every:
-                    since_sweep = 0
-                    checker.sweep()
-                if self._stop:
-                    break
-                if stop_when is not None and stop_when():
-                    break
-        finally:
-            self._running = False
-            self.events_processed += processed
-        checker.sweep()
-        if until is not None and self.now < until and queue.peek_time() is None:
-            self.now = until
-        return processed
-
-    def _run_profiled(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> int:
-        """Dispatch loop used when an :class:`EngineProfiler` is attached.
-
-        Semantically identical to :meth:`run` — same ordering, same batched
-        same-timestamp dispatch, same stop conditions, same freelist
-        recycling, same ``events_processed`` accounting — but each callback
-        is timed and attributed to its ``__qualname__``, and each
-        same-timestamp batch's size is attributed to every kind dispatched
-        inside it (so the profiler can report per-event-type batch sizes).
-        The timing itself perturbs nothing the simulation can observe.
-        """
-        from time import perf_counter
-
-        queue = self.queue
-        heap = queue._heap
-        free = queue._free
-        free_append = free.append
-        profiler = self.profiler
-        counts = profiler.counts
-        times = profiler.times_s
-        batch_kinds: list = []
-        limit = maxsize if max_events is None else max_events
-        processed = 0
-        self._running = True
-        self._stop = False
-        wall_started = perf_counter()
-        try:
-            running = True
-            while running and processed < limit:
-                ev = None
-                while heap:
-                    entry = heap[0]
-                    ev = entry[2]
-                    ev_time = entry[0]
-                    if ev.__class__ is Event:
-                        if ev.cancelled:
-                            heappop(heap)
-                            if len(free) < FREELIST_MAX:
-                                free_append(ev)
-                            ev = None
-                            continue
-                        deadline = ev.deadline
-                        if deadline > ev_time:
-                            ev.time = deadline
-                            ev.seq = ev._dseq
-                            heapreplace(heap, (deadline, ev._dseq, ev))
-                            ev = None
-                            continue
-                    break
-                if ev is None:
-                    break
-                if until is not None and ev_time > until:
-                    self.now = until
-                    break
-                self.now = ev_time
-                del batch_kinds[:]
-                while True:
-                    heappop(heap)
-                    queue._live -= 1
-                    if ev.__class__ is Event:
-                        ev.deadline = -1
-                        callback = ev.callback
-                        started = perf_counter()
-                        callback(*ev.args)
-                        elapsed = perf_counter() - started
-                        if len(free) < FREELIST_MAX:
-                            ev.callback = _noop
-                            ev.args = ()
-                            free_append(ev)
-                    else:
-                        callback = ev
-                        started = perf_counter()
-                        callback(entry[3])
-                        elapsed = perf_counter() - started
-                    kind = getattr(callback, "__qualname__", None) or type(callback).__name__
-                    counts[kind] = counts.get(kind, 0) + 1
-                    times[kind] = times.get(kind, 0.0) + elapsed
-                    batch_kinds.append(kind)
-                    processed += 1
-                    if (
-                        self._stop
-                        or (stop_when is not None and stop_when())
-                        or processed >= limit
-                    ):
-                        running = False
-                        break
-                    if not heap:
-                        break
-                    entry = heap[0]
-                    if entry[0] != ev_time:
-                        break
-                    ev = entry[2]
-                    if ev.__class__ is Event and (ev.cancelled or ev.deadline > ev_time):
-                        break
-                profiler.record_batch(batch_kinds)
-        finally:
-            self._running = False
-            self.events_processed += processed
-            profiler.record_run(processed, perf_counter() - wall_started)
-        if until is not None and self.now < until and queue.peek_time() is None:
             self.now = until
         return processed
 

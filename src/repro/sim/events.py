@@ -97,8 +97,8 @@ class EventQueue:
     """Binary-heap priority queue of :class:`Event` with lazy cancellation.
 
     ``_heap``/``_free`` are accessed directly by the fused dispatch loop in
-    :meth:`repro.sim.engine.Simulator.run`; any change to the entry layout
-    must be mirrored there.
+    :meth:`repro.sim.engine.Simulator.run` (and by ``_evcore.c``); any
+    change to the entry layout must be mirrored there.
     """
 
     __slots__ = ("_heap", "_seq", "_live", "_free", "_core")
@@ -189,36 +189,18 @@ class EventQueue:
         Returns ``None`` when the queue holds no live events.  A light
         entry (see module docstring) is materialized into an already-fired
         :class:`Event` so callers see one uniform type; the fused dispatch
-        loops never pay this, it only serves the queue-level API.
+        loop never pays this, it only serves the queue-level API.
         """
-        heap = self._heap
-        free = self._free
-        while heap:
-            entry = heap[0]
-            time, _seq, ev = entry[:3]
-            if ev.__class__ is not Event:
-                heapq.heappop(heap)
-                self._live -= 1
-                fired = Event(time, _seq, ev, (entry[3],))
-                fired.deadline = -1  # fired: no longer pending
-                return fired
-            if ev.cancelled:
-                heapq.heappop(heap)
-                if len(free) < FREELIST_MAX:
-                    free.append(ev)
-                continue
-            deadline = ev.deadline
-            if deadline > time:
-                # Stale slot from a reschedule: re-file at the true deadline.
-                ev.time = deadline
-                ev.seq = ev._dseq
-                heapq.heapreplace(heap, (deadline, ev._dseq, ev))
-                continue
-            heapq.heappop(heap)
-            ev.deadline = -1  # fired: no longer pending
-            self._live -= 1
-            return ev
-        return None
+        time = self.peek_time()  # leaves the earliest live entry at the head
+        if time is None:
+            return None
+        entry = heapq.heappop(self._heap)
+        self._live -= 1
+        ev = entry[2]
+        if ev.__class__ is not Event:
+            ev = Event(time, entry[1], ev, (entry[3],))
+        ev.deadline = -1  # fired: no longer pending
+        return ev
 
     def peek_time(self) -> Optional[int]:
         """Timestamp of the earliest live event, or ``None`` if empty."""

@@ -93,8 +93,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     profiler = EngineProfiler() if args.profile else None
     if profiler is not None:
-        # The profiled dispatch loop is serial-only by nature (it times the
-        # local engine), so bypass the executor when profiling.
+        # Profiling is serial-only by nature (it times the local engine),
+        # so bypass the executor.
         result = run_scenario(spec, profiler=profiler)
     else:
         result = make_executor().map([spec])[0]

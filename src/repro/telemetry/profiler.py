@@ -1,13 +1,14 @@
 """Opt-in engine profiling: dispatch-loop time broken down by event kind.
 
 An :class:`EngineProfiler` handed to the :class:`~repro.sim.engine.Simulator`
-switches the engine onto a timing dispatch loop that attributes wall time
-to each callback kind (keyed by ``__qualname__``, e.g.
-``OutputPort._finish_tx``).  Semantics are identical to the plain loop —
-same ordering, same event counts — only slower, so profiled runs are for
-finding where the engine spends its time, never for gating results.
+pins dispatch to the engine's Python loop and makes it time every event,
+attributing the wall time to the callback's kind (keyed by
+``__qualname__``, e.g. ``OutputPort._finish_tx``).  It is the same loop
+with two clock reads per event — same ordering, same event counts, only
+slower — so profiled runs are for finding where the engine spends its
+time, never for gating results.  It composes with the invariant checker.
 
-The profiled loop also reports the engine's same-timestamp *batches*: for
+The loop also reports its same-timestamp *batches* to the profiler: for
 every dispatched event, the size of the batch it ran in is credited to
 its kind, so ``mean_batch`` shows which event types actually tie (fan-in
 arrivals and ACK bursts batch heavily; lone timers don't) and therefore
@@ -42,7 +43,7 @@ class EngineProfiler(Collector):
 
     # -- engine feed -------------------------------------------------------------
     def record_run(self, events: int, wall_s: float) -> None:
-        """Called by the profiled dispatch loop after each run() returns."""
+        """Called by the dispatch loop as each run() returns."""
         self.events += events
         self.wall_s += wall_s
 

@@ -9,9 +9,10 @@ Two entry points:
 
 - :class:`InvariantChecker` — attached via ``Simulator(validate=True)``
   (or ``REPRO_VALIDATE=1``); components register themselves at
-  construction and the engine's validated dispatch loop sweeps the
-  conservation laws while the simulation runs.  When not attached the
-  hot path is untouched (a single ``is not None`` test at construction).
+  construction and :meth:`Simulator.run` sweeps the conservation laws
+  while the simulation runs.  It pins dispatch to the engine's Python
+  loop — the one loop there is, so a validated run executes the code an
+  unvalidated pure run does, plus the checks.
 - ``python -m repro.validate.fuzz`` — a seeded scenario fuzzer that draws
   random topologies/protocols/workloads/faults and runs each under full
   checking plus differential (rerun and serial-vs-parallel) comparisons.

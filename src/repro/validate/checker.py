@@ -5,12 +5,12 @@ The checker is a subscriber of the shared
 themselves to ``sim.hooks`` at construction (``sim.hooks is not None`` —
 the *only* cost paid on the normal, unobserved path) and the registry
 fans the lifecycle and per-queue drop/mark events out to the checker, the
-tracer, or both — no parallel callback chains.  The engine's validated
-dispatch loop then calls :meth:`InvariantChecker.check_dispatch_time` per
-event and :meth:`InvariantChecker.sweep` every ``sweep_every`` events;
-sweeps are plain in-loop calls, never scheduled events, so validated runs
-process the exact same event sequence as unvalidated ones and produce
-identical results.
+tracer, or both — no parallel callback chains.  :meth:`Simulator.run`
+then calls :meth:`InvariantChecker.check_dispatch_time` for every
+dispatched timestamp and :meth:`InvariantChecker.sweep` every
+``sweep_every`` events and when it returns; sweeps are plain in-loop
+calls, never scheduled events, so validated runs process the exact same
+event sequence as unvalidated ones and produce identical results.
 
 Checked invariants
 ------------------
@@ -176,7 +176,7 @@ class InvariantChecker:
 
     # -- engine hooks ------------------------------------------------------------
     def check_dispatch_time(self, time_ns: int) -> None:
-        """Called by the validated dispatch loop before each event fires."""
+        """Called by the dispatch loop before the events at ``time_ns`` fire."""
         if time_ns < self._last_dispatch_ns:
             self._fail(
                 f"event dispatch time went backwards: {time_ns} < {self._last_dispatch_ns}"

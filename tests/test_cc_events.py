@@ -1,10 +1,10 @@
-"""The typed CC event protocol (repro.tcp.events) and its engine guard."""
+"""The typed CC event protocol (repro.tcp.events) and the step boundary it relies on."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Simulator
 from repro.tcp.events import CC_ACK, CC_ACK_ECHO, CC_INC_ECHO, CC_RTO, CC_SEND, CCEvent
 
 
@@ -70,20 +70,17 @@ def test_external_policy_satisfies_the_event_surface():
         assert callable(getattr(ExternalPolicy, method))
 
 
-# -- engine guard (satellite: control vs native/profiler/checker) -------------------
-def test_native_dispatch_refuses_an_attached_control_env():
-    sim = Simulator(seed=1)
-    if sim._core is None:
-        pytest.skip("native event core unavailable in this environment")
-    sim.control_active = True
-    sim.schedule(10, lambda: None)
-    with pytest.raises(SimulationError, match="native"):
-        sim.run()
+# -- step boundaries: request_stop under every dispatch mode -------------------------
+@pytest.mark.parametrize("mode", ["pure", "profiled", "validated"])
+def test_dispatch_honours_request_stop(mode):
+    from repro.telemetry.profiler import EngineProfiler
 
-
-def test_pure_dispatch_honours_request_stop_under_control():
-    sim = Simulator(seed=1, native=False)
-    sim.control_active = True
+    observers = {
+        "pure": {},
+        "profiled": {"profiler": EngineProfiler()},
+        "validated": {"validate": True},
+    }[mode]
+    sim = Simulator(seed=1, native=False, **observers)
     seen = []
 
     def tick(i):
@@ -98,41 +95,3 @@ def test_pure_dispatch_honours_request_stop_under_control():
     # resume: run() clears the stop latch, the rest of the queue drains
     sim.run()
     assert seen == [0, 1, 2, 3, 4]
-
-
-def test_profiled_dispatch_honours_request_stop_under_control():
-    from repro.telemetry.profiler import EngineProfiler
-
-    sim = Simulator(seed=1, profiler=EngineProfiler(), native=False)
-    sim.control_active = True
-    seen = []
-
-    def tick(i):
-        seen.append(i)
-        if i == 1:
-            sim.request_stop()
-
-    for i in range(4):
-        sim.schedule(10 * (i + 1), tick, i)
-    sim.run()
-    assert seen == [0, 1]
-    sim.run()
-    assert seen == [0, 1, 2, 3]
-
-
-def test_validated_dispatch_honours_request_stop_under_control():
-    sim = Simulator(seed=1, validate=True, native=False)
-    sim.control_active = True
-    seen = []
-
-    def tick(i):
-        seen.append(i)
-        if i == 0:
-            sim.request_stop()
-
-    for i in range(3):
-        sim.schedule(10 * (i + 1), tick, i)
-    sim.run()
-    assert seen == [0]
-    sim.run()
-    assert seen == [0, 1, 2]

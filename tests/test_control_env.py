@@ -187,6 +187,5 @@ def test_env_refuses_nothing_but_composes_with_validate():
 def test_env_uses_pure_dispatch():
     env = ControlEnv(n_flows=4, rounds=1, seed=1)
     env.reset()
-    assert env.sim._core is None
-    assert env.sim.control_active
+    assert not env.sim.native
     env.close()

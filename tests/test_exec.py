@@ -39,6 +39,9 @@ TINY_BATCH = [
     tiny_spec("tcp", 2, seed=1),
 ]
 
+#: A spec with a tuple *inside* an override value (the dumbbell's per-pair leg delays).
+NESTED_TUPLE_SPEC = tiny_spec(topology="dumbbell", topo={"leg_delays_ns": (6000, 12000)})
+
 
 class TestScenarioSpec:
     def test_frozen_and_hashable(self):
@@ -74,9 +77,20 @@ class TestScenarioSpec:
         assert overrides["min_cwnd_mss"] == 1.0
 
     def test_to_dict_is_json_serializable(self):
-        spec = tiny_spec(plus_overrides={"divisor_factor": 8.0})
-        roundtrip = json.loads(json.dumps(spec.to_dict()))
-        assert roundtrip == spec.to_dict()
+        for spec in (tiny_spec(plus_overrides={"divisor_factor": 8.0}), NESTED_TUPLE_SPEC):
+            roundtrip = json.loads(json.dumps(spec.to_dict()))
+            assert roundtrip == spec.to_dict()
+
+    def test_cache_key_of_a_nested_tuple_spec_is_pinned(self, monkeypatch):
+        # to_dict() once left nested tuples as tuples; listifying them must
+        # not move any key (JSON writes both the same).  Regenerate the
+        # literal only together with a SCHEMA_VERSION bump.
+        import repro
+
+        monkeypatch.setattr(repro, "__version__", "1.4.0")
+        assert NESTED_TUPLE_SPEC.cache_key() == (
+            "5b6c2535b13a373292d72fbd505ff5a125cd84b14372a68963d9e658ce8fa1f7"
+        )
 
     def test_label_names_the_point(self):
         assert tiny_spec("dctcp+", 40, seed=3).label() == "dctcp+ N=40 seed=3"
@@ -132,16 +146,16 @@ class TestExecutors:
 
 class TestResultCache:
     def test_cold_then_warm_run_identical(self, tmp_path):
-        specs = TINY_BATCH[:2]
+        specs = TINY_BATCH[:2] + [NESTED_TUPLE_SPEC]
         cold_cache = ResultCache(tmp_path / "c")
         cold = SerialExecutor(cache=cold_cache).map(specs)
-        assert cold_cache.misses == 2 and cold_cache.hits == 0
-        assert len(cold_cache) == 2
+        assert cold_cache.misses == 3 and cold_cache.hits == 0
+        assert len(cold_cache) == 3
 
         warm_cache = ResultCache(tmp_path / "c")
         events = []
         warm = SerialExecutor(cache=warm_cache, progress=events.append).map(specs)
-        assert warm_cache.hits == 2 and warm_cache.misses == 0
+        assert warm_cache.hits == 3 and warm_cache.misses == 0
         assert warm == cold
         assert all(e.cached for e in events)
 

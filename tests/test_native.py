@@ -5,7 +5,8 @@ Two kinds of pinning:
 - **Semantics parity**: every engine behaviour (until/max_events/
   stop_when/request_stop, cancellation, deferred reschedules, exception
   propagation, freelist recycling, light/regular interleaving) runs
-  parametrized over both modes and must behave identically.
+  parametrized over both dispatch modes — and over the Python loop's
+  checker and profiler branches — and must behave identically.
 - **Digest equivalence**: a full scenario simulated natively must hash
   to the same result as the pure-Python run — the bit-for-bit ordering
   guarantee the core's shared sequence counter exists to provide.
@@ -16,27 +17,39 @@ C toolchain; the engine itself falls back the same way.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import _native
 from repro.sim.engine import SimulationError, Simulator
+from repro.telemetry import EngineProfiler
 
 requires_native = pytest.mark.skipif(
     _native.core_factory() is None,
     reason=f"native core unavailable: {_native.status()}",
 )
 
+
+def _native_simulator() -> Simulator:
+    s = Simulator(native=True)
+    assert s.native  # or the "native" ids would silently re-test the Python loop
+    return s
+
+
+#: Simulator factories, one per dispatch mode / observer branch.
 MODES = [
-    pytest.param(False, id="pure"),
-    pytest.param(True, marks=requires_native, id="native"),
+    pytest.param(lambda: Simulator(native=False), id="pure"),
+    pytest.param(_native_simulator, marks=requires_native, id="native"),
+    pytest.param(lambda: Simulator(validate=True), id="validated"),
+    pytest.param(lambda: Simulator(profiler=EngineProfiler()), id="profiled"),
 ]
 
 
 @pytest.fixture(params=MODES)
 def sim(request) -> Simulator:
-    s = Simulator(native=request.param)
-    assert s.native is request.param
-    return s
+    return request.param()
 
 
 class TestModeSelection:
@@ -50,8 +63,6 @@ class TestModeSelection:
 
     def test_checker_and_profiler_pin_pure(self):
         assert not Simulator(validate=True).native
-        from repro.telemetry import EngineProfiler
-
         assert not Simulator(profiler=EngineProfiler()).native
 
     @requires_native
@@ -184,6 +195,28 @@ class TestSemanticsParity:
         sim.schedule(10, seen.append, "regular")
         sim.run()
         assert seen == ["direct", "light", "regular"]
+
+
+class _Owner:
+    """Stands in for a port: holds the simulator, is held by a pending callback."""
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+
+    def fire(self, _arg):
+        pass
+
+
+@pytest.mark.parametrize("make_sim", MODES)
+def test_dropped_simulation_with_pending_light_events_is_collected(make_sim):
+    # Simulator -> (queue | core) -> pending light callback -> owner -> Simulator:
+    # the collector has to see through whichever heap holds the light entry.
+    owner = _Owner(make_sim())
+    owner.sim.schedule_light(10, owner.fire, 0)
+    alive = weakref.ref(owner)
+    del owner
+    gc.collect()
+    assert alive() is None
 
 
 @requires_native

@@ -26,6 +26,9 @@ BATCH = [
     tiny_spec("tcp", 2, seed=1),
 ]
 
+#: A spec with a tuple *inside* an override value (the dumbbell's per-pair leg delays).
+NESTED_TUPLE_SPEC = tiny_spec(topology="dumbbell", topo={"leg_delays_ns": (6000, 12000)})
+
 
 @pytest.fixture(scope="module")
 def computed():
@@ -35,15 +38,15 @@ def computed():
 
 class TestCacheProtocol:
     def test_cold_then_warm_run_identical(self, tmp_path):
-        specs = BATCH[:2]
+        specs = BATCH[:2] + [NESTED_TUPLE_SPEC]
         with SweepStore(tmp_path / "s.sqlite") as store:
             cold = SerialExecutor(cache=store).map(specs)
-            assert (store.hits, store.misses) == (0, 2)
-            assert len(store) == 2
+            assert (store.hits, store.misses) == (0, 3)
+            assert len(store) == 3
         with SweepStore(tmp_path / "s.sqlite") as store:
             events = []
             warm = SerialExecutor(cache=store, progress=events.append).map(specs)
-            assert (store.hits, store.misses) == (2, 0)
+            assert (store.hits, store.misses) == (3, 0)
             assert warm == cold
             assert all(e.cached for e in events)
 

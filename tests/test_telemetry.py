@@ -200,9 +200,23 @@ def test_profiler_composes_with_tracing():
     assert traced.trace_events == plain.trace_events
 
 
-def test_validated_loop_takes_precedence_over_profiler():
-    """validate + profile: the checker's loop runs, the profiler stays idle."""
+def test_validation_and_profiling_compose(monkeypatch):
+    """validate + profile: one loop feeds both observers and perturbs nothing."""
+    from repro.validate.checker import InvariantChecker
+
+    checkers = []
+    verify_all = InvariantChecker.verify_all
+    monkeypatch.setattr(
+        InvariantChecker, "verify_all", lambda self: checkers.append(self) or verify_all(self)
+    )
     profiler = EngineProfiler()
-    result = run_scenario(_spec(), validate=True, profiler=profiler)
-    assert result.events_processed > 0
-    assert profiler.events == 0
+    observed = run_scenario(_spec(), validate=True, profiler=profiler)
+    plain = run_scenario(_spec(), validate=False)
+    o, p = observed.to_dict(), plain.to_dict()
+    o.pop("wall_time_s")
+    p.pop("wall_time_s")
+    assert o == p
+    assert profiler.events == observed.events_processed
+    (checker,) = checkers
+    # the in-loop cadence sweeps, on top of the end-of-run ones
+    assert checker.sweeps > observed.events_processed // checker.sweep_every > 0
