@@ -9,11 +9,11 @@ The package layers:
 - :mod:`repro.core`  — DCTCP+ (slow_time state machine + pacer) — the paper
 - :mod:`repro.workloads` — incast rounds, long flows, benchmark traffic
 - :mod:`repro.metrics`   — flow stats, queue sampling, histograms, tables
-- :mod:`repro.exec`  — declarative scenario specs, serial/parallel executors,
-  on-disk result cache
+- :mod:`repro.exec`  — declarative scenario specs, serial/parallel executors
 - :mod:`repro.sweep` — million-point sweep service: declarative grid/random
-  sweeps, content-addressed SQLite result store, resumable sharded
-  orchestration (``python -m repro sweep``)
+  sweeps, the content-addressed SQLite result store (also the executors'
+  ``--cache-dir`` cache), resumable sharded orchestration
+  (``python -m repro sweep``)
 - :mod:`repro.telemetry` — typed event tracing, collectors, exporters,
   engine profiling (``python -m repro trace``)
 - :mod:`repro.control` — gym-style :class:`ControlEnv` (step/observe/act
@@ -48,7 +48,6 @@ Tracing a declarative scenario::
 from .exec import (
     ParallelExecutor,
     PointResult,
-    ResultCache,
     ScenarioSpec,
     SerialExecutor,
     run_scenario,
@@ -171,7 +170,6 @@ __all__ = [
     "run_incast_batch",
     "SerialExecutor",
     "ParallelExecutor",
-    "ResultCache",
     "SweepSpec",
     "SweepStore",
     "SweepProgress",

@@ -3,7 +3,6 @@
 One front door over the package's tools::
 
     python -m repro experiments fig7           # paper experiments
-    python -m repro bench --quick              # engine benchmark / CI gate
     python -m repro fuzz --seeds 20            # invariant fuzzer
     python -m repro trace --quick              # telemetry trace report
 
@@ -22,7 +21,7 @@ behave identically.  Each command declares its own subset of the shared
 flags through :mod:`repro.cli`, so the wording and environment plumbing
 are identical everywhere.  This umbrella is the only entry point: the
 old per-module ones (``python -m repro.experiments``,
-``python -m repro.bench``, ``python -m repro.validate.fuzz``) are gone.
+``python -m repro.validate.fuzz``) are gone.
 """
 
 from __future__ import annotations
@@ -33,14 +32,13 @@ from typing import List, Optional, Sequence
 
 USAGE = """\
 usage: python -m repro [--workers N] [--cache-dir PATH] [--validate] [--seed N]
-                       {experiments,bench,fuzz,trace,sweep} [args...]
+                       {experiments,fuzz,trace,sweep} [args...]
 
 commands:
   experiments   run paper experiments (figures and tables)
-  bench         engine throughput benchmark and CI gate
   fuzz          seeded scenario fuzzer under full invariant checking
   trace         run one scenario with telemetry and print the trace report
-  sweep         million-point sweep service: run/status/merge/import/export
+  sweep         million-point sweep service: run/status/merge/export
 
 shared flags (before the command):
   --workers N       parallel scenario workers (sets REPRO_WORKERS)
@@ -53,7 +51,7 @@ shared flags (before the command):
 run 'python -m repro <command> --help' for command-specific options.
 """
 
-COMMANDS = ("experiments", "bench", "fuzz", "trace", "sweep")
+COMMANDS = ("experiments", "fuzz", "trace", "sweep")
 
 #: Commands whose own CLI accepts ``--seed N`` for the umbrella flag to
 #: forward to.  ``experiments`` deliberately isn't here: it takes a seed
@@ -128,9 +126,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if command == "experiments":
         from .experiments.runner import main as run
-
-    elif command == "bench":
-        from .bench.cli import main as run
 
     elif command == "fuzz":
         from .validate.fuzz import main as run

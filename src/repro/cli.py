@@ -61,7 +61,7 @@ def add_common_arguments(
             "--cache-dir",
             default=None,
             metavar="DIR",
-            help=f"cache finished points as JSON under DIR (default: ${CACHE_DIR_ENV})",
+            help=f"cache finished points in DIR/results.sqlite (default: ${CACHE_DIR_ENV})",
         )
     if validate:
         group.add_argument(

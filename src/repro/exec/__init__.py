@@ -5,13 +5,11 @@
   :func:`run_scenario` (spec -> result, pure and picklable);
 - :mod:`repro.exec.executors` — :class:`SerialExecutor` and the
   process-pool :class:`ParallelExecutor`, with progress callbacks;
-- :mod:`repro.exec.cache`     — on-disk JSON :class:`ResultCache` keyed by
-  :meth:`ScenarioSpec.cache_key`;
 - :mod:`repro.exec.context`   — the ambient executor the experiment
-  drivers submit batches through (``REPRO_WORKERS`` / ``REPRO_CACHE_DIR``).
+  drivers submit batches through (``REPRO_WORKERS`` / ``REPRO_CACHE_DIR``;
+  a cache directory holds one :class:`repro.sweep.SweepStore`).
 """
 
-from .cache import ResultCache
 from .context import (
     CACHE_DIR_ENV,
     WORKERS_ENV,
@@ -36,7 +34,6 @@ __all__ = [
     "SerialExecutor",
     "ParallelExecutor",
     "ProgressEvent",
-    "ResultCache",
     "get_executor",
     "set_executor",
     "using_executor",

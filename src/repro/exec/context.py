@@ -1,7 +1,7 @@
 """Ambient executor for the experiment drivers.
 
 Figure drivers submit scenario batches through :func:`get_executor` so
-that the *caller* — the CLI, a bench, a test — decides how points run
+that the *caller* — the CLI, the benchmark, a test — decides how points run
 (serial, N worker processes, cached) without threading an executor handle
 through every driver signature.
 
@@ -11,15 +11,20 @@ Resolution order:
 2. the environment: ``REPRO_WORKERS`` (int, default 1) and
    ``REPRO_CACHE_DIR`` (path, default unset);
 3. a plain :class:`SerialExecutor` — the deterministic default.
+
+A cache directory holds one :class:`~repro.sweep.SweepStore`,
+``results.sqlite``; whoever calls :func:`make_executor` with one calls
+:meth:`Executor.close` when done, so no ``-wal``/``-shm`` files outlive
+the command.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from .cache import ResultCache
 from .executors import Executor, ParallelExecutor, ProgressCallback, SerialExecutor
 
 _current: Optional[Executor] = None
@@ -40,7 +45,12 @@ def make_executor(
         workers = int(raw) if raw else 1
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_DIR_ENV) or None
-    cache = ResultCache(cache_dir) if cache_dir else None
+    cache = None
+    if cache_dir:
+        # Imported here because repro.sweep.store imports this package.
+        from ..sweep.store import SweepStore
+
+        cache = SweepStore(Path(cache_dir) / "results.sqlite")
     if workers > 1:
         return ParallelExecutor(workers, cache=cache, progress=progress)
     return SerialExecutor(cache=cache, progress=progress)

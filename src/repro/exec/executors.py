@@ -9,8 +9,9 @@ Both executors share the same contract:
   :class:`ParallelExecutor` because every simulation is fully described by
   its spec and seeded via :class:`~repro.sim.rng.RngRegistry` (see
   ``tests/test_exec.py::TestSerialParallelEquivalence``);
-- an optional :class:`~repro.exec.cache.ResultCache` short-circuits points
-  that were already computed by any earlier run of the same code version;
+- an optional :class:`~repro.sweep.SweepStore` in the cache slot
+  short-circuits points that were already computed by any earlier run of
+  the same code version;
 - an optional progress callback receives a :class:`ProgressEvent` as each
   point completes (the CLI renders these).
 """
@@ -19,10 +20,12 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
-from .cache import ResultCache
 from .scenario import PointResult, ScenarioSpec, run_scenario
+
+if TYPE_CHECKING:  # repro.sweep.store imports this package
+    from ..sweep.store import SweepStore
 
 ProgressCallback = Callable[["ProgressEvent"], None]
 
@@ -52,14 +55,16 @@ class Executor:
 
     def __init__(
         self,
-        cache: Optional[ResultCache] = None,
+        cache: Optional["SweepStore"] = None,
         progress: Optional[ProgressCallback] = None,
     ):
-        #: Anything speaking the cache protocol (``get``/``put`` plus the
-        #: ``hits``/``misses``/``write_errors`` counters): the JSON
-        #: :class:`ResultCache` or a :class:`repro.sweep.SweepStore`.
         self.cache = cache
         self.progress = progress
+
+    def close(self) -> None:
+        """Close the attached store, if any (folds its WAL into the file)."""
+        if self.cache is not None:
+            self.cache.close()
 
     def map(self, specs: Sequence[ScenarioSpec]) -> List[PointResult]:
         """Run every spec (or fetch it from cache); results in input order."""
@@ -137,7 +142,7 @@ class ParallelExecutor(Executor):
     def __init__(
         self,
         workers: int,
-        cache: Optional[ResultCache] = None,
+        cache: Optional["SweepStore"] = None,
         progress: Optional[ProgressCallback] = None,
     ):
         super().__init__(cache=cache, progress=progress)

@@ -171,7 +171,7 @@ def run_incast_sweep(
     return results
 
 
-#: N values used by the reduced (bench) and paper-scale sweeps.
+#: N values used by the reduced and paper-scale sweeps.
 BENCH_N_VALUES = (10, 20, 40, 60, 80)
 PAPER_N_VALUES_FIG1 = tuple(range(5, 101, 5))
 PAPER_N_VALUES_FIG7 = tuple(range(10, 201, 10))

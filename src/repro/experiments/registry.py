@@ -1,7 +1,8 @@
 """Experiment registry: id -> driver module.
 
-``python -m repro.experiments <id>`` resolves through here; benches import
-the same drivers so the bench and the CLI always run identical code.
+``python -m repro experiments <id>`` resolves through here, and so do the
+tests that assert each artifact's shape (``tests/test_experiments.py``),
+so a paper claim is regenerated and checked by the same code.
 """
 
 from __future__ import annotations
@@ -9,8 +10,10 @@ from __future__ import annotations
 from typing import Callable
 
 from . import (
+    ablations,
     arena,
     control_demo,
+    extensions,
     fig01_goodput_collapse,
     fig02_cwnd_distribution,
     fig06_partial_dctcp_plus,
@@ -37,6 +40,8 @@ _MODULES = {
     "fig12": fig11_12_background,  # same driver reports both panels
     "fig13": fig13_benchmark,
     "fig14": fig14_initial_rounds,
+    "ablations": ablations,
+    "extensions": extensions,
     "arena": arena,
     "topo-matrix": topo_matrix,
     "control-demo": control_demo,

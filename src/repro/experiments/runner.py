@@ -1,26 +1,27 @@
-"""CLI entry point: ``python -m repro.experiments`` / ``repro-experiments``.
+"""The ``python -m repro experiments`` command.
 
 Examples
 --------
 List experiments::
 
-    python -m repro.experiments --list
+    python -m repro experiments --list
 
 Run one at reduced (default) scale::
 
-    python -m repro.experiments fig7
+    python -m repro experiments fig7
 
 Scale up toward the paper's repetition counts, fanning the points out to
 worker processes and caching finished points on disk::
 
-    python -m repro.experiments fig1 --rounds 100 --seeds 10
-    python -m repro.experiments fig7 --paper --workers 8 --cache-dir .exp-cache
-    python -m repro.experiments fig13 --paper
+    python -m repro experiments fig1 --rounds 100 --seeds 10
+    python -m repro experiments fig7 --paper --workers 8 --cache-dir .exp-cache
+    python -m repro experiments fig13 --paper
 
 Every simulation point is fully described by a seeded
 :class:`~repro.exec.ScenarioSpec`, so ``--workers N`` produces **the same
 table** as a serial run, only faster, and a re-run with the same
-``--cache-dir`` completes from cache hits without re-simulating.
+``--cache-dir`` completes from cache hits without re-simulating (the
+directory holds one :class:`~repro.sweep.SweepStore`, ``results.sqlite``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import closing
 from typing import List, Optional
 
 from ..cli import add_common_arguments, apply_common_arguments
@@ -55,7 +57,7 @@ def _parse_n_values(text: str) -> tuple:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-experiments",
+        prog="python -m repro experiments",
         description="Reproduce the tables/figures of the DCTCP+ paper (ICPP'15).",
     )
     parser.add_argument("experiment", nargs="?", help="experiment id (e.g. fig7)")
@@ -171,7 +173,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         progress=None if args.no_progress else _print_progress,
     )
     started = time.perf_counter()
-    with using_executor(executor):
+    # closing(): a --cache-dir store is checkpointed and closed on the way out.
+    with closing(executor), using_executor(executor):
         result = runner(**kwargs)
     elapsed = time.perf_counter() - started
     if args.json:

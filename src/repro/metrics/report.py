@@ -1,7 +1,7 @@
 """Plain-text tables in the style of the paper's figures/tables.
 
 Every experiment driver renders its result through :func:`format_table`
-so ``python -m repro.experiments <id>`` output is uniform and diffable.
+so ``python -m repro experiments <id>`` output is uniform and diffable.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ owns 128 KB outright), and the original DCTCP paper points out that
 incast severity depends on this choice: a dynamically shared pool lets a
 single congested port absorb a larger burst at the expense of isolation.
 :class:`SharedBufferSwitch` models the shared-pool variant so that the
-choice can be studied (see ``benchmarks/bench_extension_shared_buffer``).
+choice can be studied (see ``python -m repro experiments extensions``).
 
 Admission rule per incoming packet destined to port *p*:
 

@@ -11,8 +11,7 @@ and cached under ``_build/`` keyed by a hash of the C source (so editing
 Everything here fails *soft*: no compiler, no headers, a build error, or
 ``REPRO_NATIVE=0`` in the environment all yield ``core_factory() ->
 None`` and the engine silently runs the pure-Python loop.  ``status()``
-reports what happened for debugging (also surfaced by
-``python -m repro.bench --probe``-style tooling).
+reports what happened, for debugging.
 """
 
 from __future__ import annotations

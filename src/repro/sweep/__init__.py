@@ -9,8 +9,7 @@ N × RTOmin × K × buffer):
   lists; :func:`shard_points` partitions them disjointly and exhaustively
   by content-key hash (``--shard i/n``).
 - :class:`SweepStore` — content-addressed columnar result store (SQLite,
-  WAL) speaking the executor cache protocol, with a one-shot importer for
-  legacy JSON :class:`~repro.exec.ResultCache` directories, conflict-safe
+  WAL), also the executors' result cache, with conflict-safe
   :meth:`~SweepStore.merge_from`, bulk columnar reads
   (:meth:`~SweepStore.to_rows` / :meth:`~SweepStore.to_csv`) and
   byte-deterministic canonical snapshots.
@@ -18,7 +17,7 @@ N × RTOmin × K × buffer):
   keys run, in bounded chunks, with progress/ETA flowing through the
   telemetry :class:`~repro.telemetry.Collector` protocol
   (:class:`SweepProgress`).
-- ``python -m repro sweep {run,status,merge,import,export}`` — the CLI.
+- ``python -m repro sweep {run,status,merge,export}`` — the CLI.
 """
 
 from .orchestrator import SweepProgress, SweepReport, plan_sweep, run_sweep, sweep_status
@@ -32,7 +31,7 @@ from .spec import (
     shard_index,
     shard_points,
 )
-from .store import COLUMNS, StoreError, SweepStore, import_legacy_cache
+from .store import COLUMNS, StoreError, SweepStore
 
 __all__ = [
     "SweepSpec",
@@ -46,7 +45,6 @@ __all__ = [
     "SweepStore",
     "StoreError",
     "COLUMNS",
-    "import_legacy_cache",
     "SweepProgress",
     "SweepReport",
     "run_sweep",

@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro sweep {run,status,merge,import,export}``.
+"""CLI: ``python -m repro sweep {run,status,merge,export}``.
 
 The sweep service's front door::
 
@@ -10,9 +10,6 @@ The sweep service's front door::
 
     # combine shard stores into one
     python -m repro sweep merge --into all.sqlite a.sqlite b.sqlite
-
-    # one-shot ingest of a legacy JSON ResultCache directory
-    python -m repro sweep import --store s.sqlite .exp-cache --verify
 
     # bulk columnar reads / canonical snapshots
     python -m repro sweep export --store s.sqlite --csv points.csv
@@ -32,7 +29,7 @@ import sys
 from typing import List, Optional
 
 from ..cli import add_common_arguments, apply_common_arguments
-from ..exec.context import make_executor
+from ..exec.executors import ParallelExecutor, SerialExecutor
 from .orchestrator import SweepProgress, run_sweep, sweep_status
 from .spec import PRESETS, SweepSpec, SweepSpecError, parse_shard, preset
 from .store import StoreError, SweepStore
@@ -99,18 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     merge_p.add_argument("--into", required=True, metavar="DB", help="destination store")
     merge_p.add_argument("sources", nargs="+", metavar="DB", help="source stores")
 
-    import_p = sub.add_parser(
-        "import", help="one-shot ingest of a legacy JSON ResultCache directory"
-    )
-    add_store(import_p)
-    import_p.add_argument("cache_dir", metavar="DIR", help="legacy cache directory")
-    import_p.add_argument(
-        "--verify",
-        action="store_true",
-        help="after importing, require every legacy entry to be a store hit "
-        "with an identical result (exit 1 otherwise)",
-    )
-
     export_p = sub.add_parser("export", help="bulk columnar reads / canonical snapshots")
     add_store(export_p)
     export_p.add_argument("--csv", metavar="FILE", help="flat analysis columns as CSV")
@@ -157,7 +142,7 @@ def _dispatch(args) -> int:
         if workers is None:
             raw = os.environ.get("REPRO_WORKERS", "").strip()
             workers = int(raw) if raw else 1
-        executor = make_executor(workers=workers)
+        executor = ParallelExecutor(workers) if workers > 1 else SerialExecutor()
         with SweepStore(_store_path(args)) as store:
             progress = None
             if not args.no_progress:
@@ -221,21 +206,6 @@ def _dispatch(args) -> int:
                 f"{total_added} added, {total_present} already present, "
                 f"{len(dest)} total"
             )
-        return 0
-
-    if args.command == "import":
-        if not os.path.isdir(args.cache_dir):
-            raise StoreError(f"not a cache directory: {args.cache_dir}")
-        with SweepStore(_store_path(args)) as store:
-            imported, skipped = store.import_json_cache(args.cache_dir)
-            print(f"imported {imported} points, skipped {skipped}, {len(store)} in store")
-            if args.verify:
-                mismatches = store.verify_json_cache(args.cache_dir)
-                if mismatches:
-                    for key in mismatches:
-                        print(f"repro-sweep: VERIFY FAILED for key {key}", file=sys.stderr)
-                    return 1
-                print(f"verified {imported} imported points: all store hits, identical results")
         return 0
 
     # export

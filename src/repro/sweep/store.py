@@ -1,17 +1,17 @@
 """Content-addressed columnar result store (SQLite, WAL mode).
 
-One database file replaces the one-JSON-file-per-point
-:class:`~repro.exec.cache.ResultCache` for sweep-scale studies: a single
-``points`` table keyed by :meth:`ScenarioSpec.cache_key`, holding the
-canonical spec/result JSON *plus* flat scalar columns (protocol, N, seed,
-goodput, FCT, timeouts, ...) so a million-point study is one indexed
-``SELECT`` away from analysis instead of a million file opens.
+The one result store: a single ``points`` table keyed by
+:meth:`ScenarioSpec.cache_key`, holding the canonical spec/result JSON
+*plus* flat scalar columns (protocol, N, seed, goodput, FCT, timeouts,
+...) so a million-point study is one indexed ``SELECT`` away from
+analysis.
 
-The store implements the executor cache protocol (``get``/``put`` with
-``hits``/``misses``/``write_errors`` counters), so
+The store is the executor cache (``get``/``put`` with
+``hits``/``misses``/``write_errors`` counters):
 :class:`~repro.exec.SerialExecutor`/:class:`~repro.exec.ParallelExecutor`
-and every figure driver use it unchanged — pass a ``SweepStore`` wherever
-a ``ResultCache`` went.
+take one in their cache slot, ``--cache-dir DIR`` opens
+``DIR/results.sqlite``, and ``python -m repro sweep`` runs into one
+directly.
 
 Durability + identity model:
 
@@ -35,7 +35,6 @@ import sqlite3
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..exec.cache import ResultCache
 from ..exec.scenario import PointResult, ScenarioSpec
 
 #: Bumped whenever the table layout changes; a store carrying a different
@@ -149,8 +148,7 @@ class SweepStore:
         """Decode the stored result for ``spec``, or None on any miss.
 
         Any failure — absent key, spec collision, corrupt row, dead
-        backend — degrades to exactly one counted miss, mirroring the
-        JSON cache's contract.
+        backend — degrades to exactly one counted miss.
         """
         try:
             row = self._conn.execute(
@@ -172,10 +170,9 @@ class SweepStore:
     def put(self, spec: ScenarioSpec, result: PointResult) -> None:
         """Insert one point in its own committed transaction (best effort).
 
-        Like :meth:`ResultCache.put`, failure degrades to "no cache" —
-        but it is *counted* in ``write_errors``, which the executors
-        surface on their stderr progress line, so a full disk cannot
-        masquerade as a 0% hit rate.
+        Failure degrades to "no cache" — but it is *counted* in
+        ``write_errors``, which the executors surface on their stderr
+        progress line, so a full disk cannot masquerade as a 0% hit rate.
         """
         try:
             self._conn.execute("BEGIN IMMEDIATE")
@@ -234,7 +231,7 @@ class SweepStore:
         """SHA-256 over ``key\\nspec\\nresult`` rows in key order.
 
         A pure function of the stored *content*: two stores filled in any
-        order (resumed, sharded-and-merged, imported) with the same points
+        order (resumed, sharded-and-merged) with the same points
         agree, regardless of SQLite page layout.
         """
         digest = hashlib.sha256()
@@ -243,54 +240,6 @@ class SweepStore:
         ):
             digest.update(f"{key}\n{spec_text}\n{result_text}\n".encode())
         return digest.hexdigest()
-
-    # -- one-shot importer for legacy JSON cache directories ---------------------
-    def import_json_cache(self, directory: Union[str, Path]) -> Tuple[int, int]:
-        """Ingest a legacy :class:`ResultCache` directory; (imported, skipped).
-
-        Every well-formed ``<key>.json`` entry becomes a store row under
-        its embedded spec's key; corrupt or mismatched entries are skipped
-        (they were cache misses in the old world too).
-        """
-        directory = Path(directory)
-        imported = skipped = 0
-        for entry_path in sorted(directory.glob("*.json")):
-            try:
-                with entry_path.open("r", encoding="utf-8") as fh:
-                    entry = json.load(fh)
-                spec = _spec_from_dict(entry["spec"])
-                if spec.cache_key() != entry_path.stem:
-                    raise ValueError("entry key does not match its spec")
-                result = PointResult.from_dict(entry["result"])
-            except (OSError, ValueError, KeyError, TypeError, AttributeError):
-                skipped += 1
-                continue
-            before = self.write_errors
-            self.put(spec, result)
-            if self.write_errors == before:
-                imported += 1
-            else:
-                skipped += 1
-        return imported, skipped
-
-    def verify_json_cache(self, directory: Union[str, Path]) -> List[str]:
-        """Cross-check a legacy cache against the store; return mismatch keys.
-
-        For every decodable legacy entry, the store must report a *hit*
-        with an identical :class:`PointResult` (the CI compatibility leg).
-        """
-        legacy = ResultCache(directory)
-        mismatches: List[str] = []
-        for entry_path in sorted(Path(directory).glob("*.json")):
-            try:
-                with entry_path.open("r", encoding="utf-8") as fh:
-                    spec = _spec_from_dict(json.load(fh)["spec"])
-            except (OSError, ValueError, KeyError, TypeError, AttributeError):
-                continue
-            expected = legacy.get(spec)
-            if expected is None or self.get(spec) != expected:
-                mismatches.append(spec.cache_key())
-        return mismatches
 
     # -- merge -------------------------------------------------------------------
     def merge_from(self, other: "SweepStore") -> Tuple[int, int]:
@@ -390,20 +339,3 @@ class SweepStore:
             f"SweepStore({str(self.path)!r}, points={len(self)}, "
             f"hits={self.hits}, misses={self.misses}, write_errors={self.write_errors})"
         )
-
-
-def _spec_from_dict(data: Dict[str, object]) -> ScenarioSpec:
-    """Rebuild a :class:`ScenarioSpec` from its ``to_dict`` form."""
-    kwargs = dict(data)
-    for field_name, value in kwargs.items():
-        if isinstance(value, list):
-            kwargs[field_name] = tuple(tuple(pair) for pair in value)
-    return ScenarioSpec(**kwargs)
-
-
-def import_legacy_cache(
-    store_path: Union[str, Path], cache_dir: Union[str, Path]
-) -> Tuple[int, int]:
-    """Convenience one-shot: open/create a store and ingest a JSON cache."""
-    with SweepStore(store_path) as store:
-        return store.import_json_cache(cache_dir)

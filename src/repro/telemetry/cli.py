@@ -18,6 +18,7 @@ dispatch-loop breakdown.
 from __future__ import annotations
 
 import argparse
+from contextlib import closing
 from typing import Optional, Sequence
 
 from ..cli import add_common_arguments, apply_common_arguments
@@ -97,7 +98,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # so bypass the executor.
         result = run_scenario(spec, profiler=profiler)
     else:
-        result = make_executor().map([spec])[0]
+        with closing(make_executor()) as executor:
+            result = executor.map([spec])[0]
 
     records = result.trace_events
     print(

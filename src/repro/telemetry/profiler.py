@@ -14,9 +14,9 @@ its kind, so ``mean_batch`` shows which event types actually tie (fan-in
 arrivals and ACK bursts batch heavily; lone timers don't) and therefore
 which benefit from the batched dispatch loop.
 
-``repro.bench --profile`` and ``python -m repro trace --profile`` report
-through this; the numbers export via the shared Collector surface
-(:meth:`schema` / :meth:`rows` / :meth:`to_csv`).
+``python -m repro trace --profile`` reports through this; the numbers
+export via the shared Collector surface (:meth:`schema` / :meth:`rows` /
+:meth:`to_csv`).
 """
 
 from __future__ import annotations

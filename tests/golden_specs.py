@@ -48,6 +48,10 @@ TINY_KWARGS: Dict[str, dict] = {
     # policies through the batch executor: pins the CC event protocol, the
     # env's observation/window machinery and the external: resolution path.
     "control-demo": dict(n_flows=8, rounds=2, seed=1),
+    # Fixed-N tables (N=40..120), one round each: pins every DctcpPlusConfig
+    # override, the deadline incast, tcp+/d2tcp+ and the shared-pool switch.
+    "ablations": dict(rounds=1, seeds=(1,)),
+    "extensions": dict(rounds=1, seeds=(1,)),
 }
 
 

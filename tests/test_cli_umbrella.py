@@ -28,7 +28,7 @@ def _run_module(module, *args):
 def test_help_lists_every_command(capsys):
     assert umbrella_main(["--help"]) == 0
     out = capsys.readouterr().out
-    for command in ("experiments", "bench", "fuzz", "trace", "sweep"):
+    for command in ("experiments", "fuzz", "trace", "sweep"):
         assert command in out
 
 
@@ -54,11 +54,6 @@ def test_global_flag_requires_value(capsys):
     assert umbrella_main(["--workers", "zero"]) == 2
 
 
-def test_bench_list_via_umbrella(capsys):
-    assert umbrella_main(["bench", "--list"]) == 0
-    assert "incast-dctcp-n64" in capsys.readouterr().out
-
-
 def test_experiments_list_via_umbrella(capsys):
     assert umbrella_main(["experiments", "--list"]) == 0
     assert "table1" in capsys.readouterr().out
@@ -68,7 +63,7 @@ def test_workers_and_cache_dir_become_env(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     cache = str(tmp_path / "cache")
-    assert umbrella_main(["--workers", "2", f"--cache-dir={cache}", "bench", "--list"]) == 0
+    assert umbrella_main(["--workers", "2", f"--cache-dir={cache}", "experiments", "--list"]) == 0
     assert os.environ["REPRO_WORKERS"] == "2"
     assert os.environ["REPRO_CACHE_DIR"] == cache
     capsys.readouterr()
@@ -120,6 +115,13 @@ def test_old_package_entry_points_are_gone(module):
     assert "No module named" in proc.stderr
 
 
+def test_bench_command_is_gone(capsys):
+    """The engine benchmark retired with ``repro.bench``; the repo benchmark
+    is ``python3 -m bench``, outside the package."""
+    assert umbrella_main(["bench", "--list"]) == 2
+    assert "unknown command 'bench'" in capsys.readouterr().err
+
+
 def test_old_fuzz_entry_point_is_gone():
     """``python -m repro.validate.fuzz`` is a bare import now: it must not
     run the fuzzer (no __main__ block remains in the module)."""
@@ -129,7 +131,6 @@ def test_old_fuzz_entry_point_is_gone():
 
 # -- shared flag group (repro.cli) --------------------------------------------------
 def test_common_flags_present_in_subcommand_help():
-    from repro.bench.cli import main as bench_main
     from repro.experiments.runner import build_parser as experiments_parser
     from repro.telemetry.cli import build_parser as trace_parser
 
@@ -142,7 +143,6 @@ def test_common_flags_present_in_subcommand_help():
     assert "common options" in trace_help
     for flag in ("--seed", "--quick", "--validate"):
         assert flag in trace_help
-    assert bench_main is not None  # bench exposes no build_parser; covered below
 
 
 def test_validate_flag_exports_env(monkeypatch, capsys):
@@ -151,7 +151,7 @@ def test_validate_flag_exports_env(monkeypatch, capsys):
     # later Simulator() onto the validated dispatch path.
     monkeypatch.delenv("REPRO_VALIDATE", raising=False)
     try:
-        assert umbrella_main(["bench", "--list", "--validate"]) == 0
+        assert umbrella_main(["trace", "--quick", "--validate"]) == 0
         assert os.environ["REPRO_VALIDATE"] == "1"
     finally:
         os.environ.pop("REPRO_VALIDATE", None)

@@ -4,8 +4,6 @@ import runpy
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -52,7 +50,6 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "Partition/aggregate benchmark" in out
 
-    @pytest.mark.slow
     def test_quickstart(self, capsys):
         run_example("quickstart.py", [])
         out = capsys.readouterr().out

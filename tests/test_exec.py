@@ -6,7 +6,8 @@ The load-bearing guarantees:
   simulation point, with a cache key that changes whenever any field does;
 - ``SerialExecutor`` and ``ParallelExecutor`` produce **identical**
   aggregates for the same batch (process fan-out must not perturb results);
-- a cache-hit run returns results equal to the cold run.
+- a cache-hit run returns results equal to the cold run, and a damaged
+  or unwritable cache costs one counted miss or write error, never a crash.
 """
 
 import dataclasses
@@ -18,7 +19,6 @@ from repro.exec import (
     CACHE_DIR_ENV,
     ParallelExecutor,
     PointResult,
-    ResultCache,
     ScenarioSpec,
     SerialExecutor,
     WORKERS_ENV,
@@ -145,80 +145,114 @@ class TestExecutors:
 
 
 class TestResultCache:
-    def test_cold_then_warm_run_identical(self, tmp_path):
-        specs = TINY_BATCH[:2] + [NESTED_TUPLE_SPEC]
-        cold_cache = ResultCache(tmp_path / "c")
-        cold = SerialExecutor(cache=cold_cache).map(specs)
-        assert cold_cache.misses == 3 and cold_cache.hits == 0
-        assert len(cold_cache) == 3
+    """The ``--cache-dir`` cache through its real entry:
+    ``make_executor(cache_dir=D)`` opens the store ``D/results.sqlite``."""
 
-        warm_cache = ResultCache(tmp_path / "c")
-        events = []
-        warm = SerialExecutor(cache=warm_cache, progress=events.append).map(specs)
-        assert warm_cache.hits == 3 and warm_cache.misses == 0
-        assert warm == cold
-        assert all(e.cached for e in events)
+    @pytest.fixture
+    def executor(self, tmp_path):
+        executor = make_executor(workers=1, cache_dir=tmp_path)
+        yield executor
+        executor.close()
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        spec = TINY_BATCH[0]
-        cache = ResultCache(tmp_path)
-        cache.path_for(spec).write_text("not json{")
-        assert cache.get(spec) is None
-        assert (cache.hits, cache.misses) == (0, 1)
-        result = SerialExecutor(cache=cache).map([spec])[0]
-        assert cache.get(spec) == result
+    @staticmethod
+    def _filled(executor, spec):
+        """Run ``spec`` into the executor's cache; (cache, stored result text)."""
+        cache = executor.cache
+        executor.map([spec])
+        (text,) = cache._conn.execute("SELECT result FROM points").fetchone()
+        return cache, text
 
-    def test_truncated_entry_counts_exactly_one_miss(self, tmp_path):
-        spec = TINY_BATCH[0]
-        cache = ResultCache(tmp_path)
-        result = SerialExecutor(cache=cache).map([spec])[0]
-        assert result is not None
-        full = cache.path_for(spec).read_text()
-        cache.path_for(spec).write_text(full[: len(full) // 2])
+    @staticmethod
+    def _assert_one_miss(cache, spec, column, text):
+        cache._conn.execute(f"UPDATE points SET {column}=?", (text,))
         cache.hits = cache.misses = 0
         assert cache.get(spec) is None
         assert (cache.hits, cache.misses) == (0, 1)
 
-    def test_non_object_entry_counts_exactly_one_miss(self, tmp_path):
-        # A file truncated all the way down to valid-but-wrong JSON ("null",
-        # a bare list) must be a counted miss, not an executor crash.
+    def test_cold_then_warm_run_identical(self, tmp_path):
+        specs = TINY_BATCH[:2] + [NESTED_TUPLE_SPEC]
+        cold_executor = make_executor(workers=1, cache_dir=tmp_path / "c")
+        cold = cold_executor.map(specs)
+        cold_cache = cold_executor.cache
+        assert cold_cache.misses == 3 and cold_cache.hits == 0
+        assert len(cold_cache) == 3
+        cold_executor.close()
+        # One database file, its WAL folded in: nothing else to copy or clean.
+        assert [p.name for p in (tmp_path / "c").iterdir()] == ["results.sqlite"]
+
+        events = []
+        warm_executor = make_executor(workers=1, cache_dir=tmp_path / "c", progress=events.append)
+        warm = warm_executor.map(specs)
+        assert warm_executor.cache.hits == 3 and warm_executor.cache.misses == 0
+        assert warm == cold
+        assert all(e.cached for e in events)
+        warm_executor.close()
+
+    def test_old_json_entries_in_the_directory_are_ignored(self, tmp_path):
+        # A directory left behind by the one-JSON-file-per-point cache this
+        # store replaced: its files are neither read nor an error.
         spec = TINY_BATCH[0]
-        cache = ResultCache(tmp_path)
+        stale = tmp_path / f"{spec.cache_key()}.json"
+        stale.write_text("not json{")
+        executor = make_executor(workers=1, cache_dir=tmp_path)
+        result = executor.map([spec])[0]
+        assert (executor.cache.hits, executor.cache.misses) == (0, 1)
+        assert executor.cache.get(spec) == result
+        executor.close()
+        assert stale.read_text() == "not json{"
+
+    def test_corrupt_entry_is_a_miss(self, executor):
+        spec = TINY_BATCH[0]
+        cache, _ = self._filled(executor, spec)
+        self._assert_one_miss(cache, spec, "result", "not json{")
+        result = executor.map([spec])[0]  # recomputed and stored over the corrupt row
+        assert cache.get(spec) == result
+
+    def test_truncated_entry_counts_exactly_one_miss(self, executor):
+        spec = TINY_BATCH[0]
+        cache, full = self._filled(executor, spec)
+        self._assert_one_miss(cache, spec, "result", full[: len(full) // 2])
+
+    def test_non_object_entry_counts_exactly_one_miss(self, executor):
+        # Valid-but-wrong JSON ("null", a bare list) must be a counted miss,
+        # not an executor crash.
+        spec = TINY_BATCH[0]
+        cache, _ = self._filled(executor, spec)
         for blob in ("null", "[]", '"entry"'):
-            cache.path_for(spec).write_text(blob)
-            cache.hits = cache.misses = 0
-            assert cache.get(spec) is None
-            assert (cache.hits, cache.misses) == (0, 1)
+            self._assert_one_miss(cache, spec, "result", blob)
+
+    def test_entry_with_mismatched_spec_is_a_miss(self, executor):
+        spec = TINY_BATCH[0]
+        cache, _ = self._filled(executor, spec)
+        forged = dict(spec.to_dict(), n_flows=999)
+        self._assert_one_miss(cache, spec, "spec", json.dumps(forged))
 
     def test_failed_writes_are_counted_and_surfaced(self, tmp_path):
-        # "Best effort" must not mean silent: an unwritable cache
-        # directory (stand-in for a full disk) counts every failed put,
-        # and the executor's progress events carry the counter so the
-        # stderr progress line can show it.
+        # "Best effort" must not mean silent: a store that cannot be written
+        # (read-only: stand-in for a full disk) or has gone away (closed)
+        # gives one counted miss and one counted failed put, and the
+        # executor's progress events carry the counter so the stderr
+        # progress line can show it.
         spec = TINY_BATCH[0]
-        cache = ResultCache(tmp_path / "cache")
-        cache.directory = tmp_path / "vanished"  # writes now fail with ENOENT
-        events = []
-        SerialExecutor(cache=cache, progress=events.append).map([spec])
-        assert cache.write_errors == 1
-        assert events[-1].cache_write_errors == 1
+        breakers = {
+            "read-only": lambda cache: cache._conn.execute("PRAGMA query_only=ON"),
+            "vanished": lambda cache: cache.close(),
+        }
+        for name, break_store in breakers.items():
+            events = []
+            executor = make_executor(
+                workers=1, cache_dir=tmp_path / name, progress=events.append
+            )
+            break_store(executor.cache)
+            executor.map([spec])
+            assert (executor.cache.misses, executor.cache.write_errors) == (1, 1), name
+            assert events[-1].cache_write_errors == 1, name
+            executor.close()
 
     def test_progress_reports_zero_write_errors_without_a_cache(self):
         events = []
         SerialExecutor(progress=events.append).map([TINY_BATCH[0]])
         assert events[-1].cache_write_errors == 0
-
-    def test_entry_with_mismatched_spec_is_a_miss(self, tmp_path):
-        spec = TINY_BATCH[0]
-        cache = ResultCache(tmp_path)
-        result = SerialExecutor(cache=cache).map([spec])[0]
-        payload = json.loads(cache.path_for(spec).read_text())
-        payload["spec"]["n_flows"] = 999
-        cache.path_for(spec).write_text(json.dumps(payload))
-        cache.hits = cache.misses = 0
-        assert cache.get(spec) is None
-        assert (cache.hits, cache.misses) == (0, 1)
-        assert result is not None
 
 
 class TestPointResult:
@@ -263,7 +297,8 @@ class TestExecutorContext:
         executor = make_executor()
         assert isinstance(executor, ParallelExecutor)
         assert executor.workers == 4
-        assert executor.cache is not None
+        assert executor.cache.path == tmp_path / "env-cache" / "results.sqlite"
+        executor.close()
 
     def test_using_executor_restores_previous(self):
         outer = SerialExecutor()

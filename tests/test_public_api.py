@@ -83,7 +83,6 @@ EXPECTED_SURFACE = {
     "run_incast_batch",
     "SerialExecutor",
     "ParallelExecutor",
-    "ResultCache",
     # sweep service
     "SweepSpec",
     "SweepStore",

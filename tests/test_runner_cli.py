@@ -1,4 +1,4 @@
-"""CLI end-to-end tests for ``python -m repro.experiments``."""
+"""CLI end-to-end tests for ``python -m repro experiments``."""
 
 import pytest
 
@@ -103,3 +103,21 @@ class TestMainExecution:
         assert executor.workers == 2
         assert executor.cache is not None
         assert cache_dir.is_dir()
+
+    def test_cache_dir_rerun_is_all_hits_and_leaves_one_file(self, monkeypatch, tmp_path, capsys):
+        # The CI tests job's cold -> warm leg, in miniature.  setenv first,
+        # so monkeypatch restores what --cache-dir exports.
+        monkeypatch.setenv("REPRO_CACHE_DIR", "")
+        cache_dir = tmp_path / "cache"
+        argv = ["fig7", "--rounds", "1", "--seeds", "1", "--n-values", "2", "--json",
+                "--cache-dir", str(cache_dir)]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        # The store was closed on the way out: no -wal/-shm beside it.
+        assert [p.name for p in cache_dir.iterdir()] == ["results.sqlite"]
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold.out
+        assert "(cached)" not in cold.err
+        assert warm.err.count("(cached)") == len(warm.err.splitlines()) == 3
+        assert [p.name for p in cache_dir.iterdir()] == ["results.sqlite"]

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.exec import ResultCache, SerialExecutor
+from repro.exec import SerialExecutor
 from repro.sweep import SweepProgress, SweepSpec, SweepStore, run_sweep, sweep_status
 from repro.sweep.cli import main as sweep_main
 
@@ -208,16 +208,6 @@ class TestCli:
         assert sweep_main(["export", "--store", b, "--db", str(tmp_path / "cb.sqlite")]) == 0
         capsys.readouterr()
         assert (tmp_path / "ca.sqlite").read_bytes() == (tmp_path / "cb.sqlite").read_bytes()
-
-    def test_import_verify(self, tmp_path, spec_file, capsys):
-        legacy_dir = tmp_path / "legacy"
-        spec = small_spec()
-        SerialExecutor(cache=ResultCache(legacy_dir)).map(spec.points())
-        store = str(tmp_path / "s.sqlite")
-        assert sweep_main(["import", "--store", store, str(legacy_dir), "--verify"]) == 0
-        out = capsys.readouterr().out
-        assert "imported 8 points" in out
-        assert "verified 8 imported points" in out
 
     def test_run_preset(self, tmp_path, capsys):
         store = str(tmp_path / "s.sqlite")

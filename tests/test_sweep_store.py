@@ -1,18 +1,18 @@
 """The content-addressed columnar store (:mod:`repro.sweep.store`).
 
-The store must be a drop-in for the executor cache slot (same hit/miss
-semantics as the JSON :class:`ResultCache`, including the spec-mismatch
-collision guard), and its *content identity* must be order-free: stores
-filled by resumed, sharded, or imported runs of the same points agree on
-``content_digest()`` and export byte-identical canonical snapshots.
+The store is the executor cache (every failure is one counted miss or
+one counted write error, including the spec-mismatch collision guard),
+and its *content identity* must be order-free: stores filled by resumed
+or sharded runs of the same points agree on ``content_digest()`` and
+export byte-identical canonical snapshots.
 """
 
 import sqlite3
 
 import pytest
 
-from repro.exec import ResultCache, ScenarioSpec, SerialExecutor
-from repro.sweep import COLUMNS, StoreError, SweepStore, import_legacy_cache
+from repro.exec import ScenarioSpec, SerialExecutor
+from repro.sweep import COLUMNS, StoreError, SweepStore
 
 
 def tiny_spec(protocol="dctcp", n_flows=2, seed=1, **kwargs):
@@ -64,8 +64,7 @@ class TestCacheProtocol:
             assert (store.hits, store.misses) == (0, 1)
 
     def test_spec_collision_is_a_miss(self, tmp_path, computed):
-        # Same key, different embedded spec (hand-edited/corrupt row) must
-        # miss — the same guard the JSON cache carries.
+        # Same key, different embedded spec (hand-edited/corrupt row) must miss.
         spec, result = computed[0]
         with SweepStore(tmp_path / "s.sqlite") as store:
             store.put(spec, result)
@@ -185,46 +184,6 @@ class TestColumnarReads:
             decoded = {key: result for key, _, result in store.iter_points()}
         for spec, result in computed:
             assert decoded[spec.cache_key()] == result
-
-
-class TestLegacyImport:
-    def test_import_makes_every_point_a_hit_with_identical_result(self, tmp_path):
-        legacy = ResultCache(tmp_path / "legacy")
-        results = SerialExecutor(cache=legacy).map(BATCH)
-        imported, skipped = import_legacy_cache(tmp_path / "s.sqlite", tmp_path / "legacy")
-        assert (imported, skipped) == (len(BATCH), 0)
-        with SweepStore(tmp_path / "s.sqlite") as store:
-            for spec, expected in zip(BATCH, results):
-                hit = store.get(spec)
-                assert hit == expected
-            assert store.hits == len(BATCH)
-            assert store.verify_json_cache(tmp_path / "legacy") == []
-
-    def test_import_skips_corrupt_entries(self, tmp_path):
-        legacy = ResultCache(tmp_path / "legacy")
-        SerialExecutor(cache=legacy).map(BATCH[:2])
-        (tmp_path / "legacy" / "zz-corrupt.json").write_text("not json{")
-        with SweepStore(tmp_path / "s.sqlite") as store:
-            assert store.import_json_cache(tmp_path / "legacy") == (2, 1)
-
-    def test_import_matches_a_directly_filled_store(self, tmp_path, computed):
-        legacy = ResultCache(tmp_path / "legacy")
-        SerialExecutor(cache=legacy).map(BATCH)
-        with SweepStore(tmp_path / "direct.sqlite") as direct:
-            for spec, result in computed:
-                direct.put(spec, result)
-            digest = direct.content_digest()
-        with SweepStore(tmp_path / "imported.sqlite") as imported:
-            imported.import_json_cache(tmp_path / "legacy")
-            assert imported.content_digest() == digest
-
-    def test_verify_reports_drift(self, tmp_path):
-        legacy = ResultCache(tmp_path / "legacy")
-        SerialExecutor(cache=legacy).map(BATCH[:1])
-        with SweepStore(tmp_path / "s.sqlite") as store:
-            store.import_json_cache(tmp_path / "legacy")
-            store._conn.execute("UPDATE points SET result='{}'")
-            assert store.verify_json_cache(tmp_path / "legacy") == [BATCH[0].cache_key()]
 
 
 class TestMerge:
