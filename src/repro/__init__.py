@@ -6,8 +6,10 @@ The package layers:
 - :mod:`repro.sim`   — discrete-event engine (integer-ns clock, RNG streams)
 - :mod:`repro.net`   — packets, links, ECN switches, hosts, the 2-tier tree
 - :mod:`repro.tcp`   — TCP New Reno and DCTCP senders, timeout taxonomy
-- :mod:`repro.core`  — DCTCP+ (slow_time state machine + pacer) — the paper
-- :mod:`repro.workloads` — incast rounds, long flows, benchmark traffic
+- :mod:`repro.core`  — DCTCP+ (slow_time state machine + pacer, wired onto
+  a transport by one ``SlowTimeMixin``) — the paper
+- :mod:`repro.workloads` — incast / HTTP / swarm rounds on one closed-loop
+  lifecycle, long flows, benchmark traffic
 - :mod:`repro.metrics`   — flow stats, queue sampling, histograms, tables
 - :mod:`repro.exec`  — declarative scenario specs, serial/parallel executors
 - :mod:`repro.sweep` — million-point sweep service: declarative grid/random

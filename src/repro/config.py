@@ -11,8 +11,9 @@ into a sender factory.  This module re-exports all of them (the classes
 - :class:`TcpConfig` — per-sender transport tunables (MSS, cwnd bounds,
   RTO, ECN, DCTCP's ``g``).  Every sender takes one.
 - :class:`DctcpPlusConfig` — the slow_time regulation law (backoff unit,
-  divisor, threshold_T, randomization).  Only DCTCP+/TCP+ senders take
-  one, alongside their :class:`TcpConfig`.
+  divisor, threshold_T, randomization).  Only senders carrying the
+  slow_time mixin (DCTCP+/TCP+/D2TCP+) take one, alongside their
+  :class:`TcpConfig`.
 - :class:`ProtocolSpec` / :func:`spec_for` — a named bundle mapping a
   protocol string ("dctcp+", "tcp", ...) to a sender factory plus its
   default config pair; what scenario specs and workloads consume.
@@ -21,12 +22,18 @@ Overlap rule (``min_cwnd_mss``): both dataclasses carry a cwnd-floor
 field.  The transport-level :attr:`TcpConfig.min_cwnd_mss` (default 2,
 Eq. (2)'s ``W >= 2``) is what the sender enforces; DCTCP+'s
 :attr:`DctcpPlusConfig.min_cwnd_mss` (default 1, paper footnote 3) is
-the *protocol's choice* for that floor, and the DCTCP+/TCP+ constructors
-apply it by overriding the transport config::
+the *protocol's choice* for that floor, and every slow_time sender
+applies it in one place, :class:`repro.core.slow_time.SlowTimeMixin`,
+by overriding the transport config::
 
     config = (config or TcpConfig()).with_overrides(
-        min_cwnd_mss=plus_config.min_cwnd_mss
+        min_cwnd_mss=plus_config.min_cwnd_mss, ...
     )
+
+So that the transport knob is not silently inert there, :func:`spec_for`
+carries an explicitly set ``tcp_overrides["min_cwnd_mss"]`` over to the
+plus config for slow_time strategies, and raises ``ValueError`` when both
+floors are set to different values.
 
 :func:`effective_tcp_config` exposes that composition for callers who
 want the resolved transport config without building a sender.

@@ -52,7 +52,7 @@ from ..telemetry.observe import Observation, ObservationAssembler
 from ..tcp.events import CCEvent
 from ..workloads.incast import IncastConfig, IncastWorkload
 from ..workloads.protocols import ProtocolSpec, spec_for
-from .external import ExternalPolicySender
+from .external import ExternalPolicySender, make_external_sender
 from .policies import ExternalPolicy, get_policy
 
 
@@ -183,27 +183,25 @@ class EnvBridgePolicy(ExternalPolicy):
 class _ControlledSpec:
     """ProtocolSpec proxy that swaps controlled ordinals' senders.
 
-    Forwards every attribute read/write to the wrapped spec (the workload
-    both reads and *assigns* ``tcp_config``), and intercepts only
-    ``make_sender``: flows whose construction ordinal is controlled get an
-    :class:`ExternalPolicySender` bound to an env bridge; the rest get the
-    spec's builtin strategy.
+    Forwards every attribute read to the wrapped spec and intercepts only
+    ``make_sender`` — flows whose construction ordinal is controlled get an
+    :class:`ExternalPolicySender` bound to an env bridge, the rest get the
+    spec's builtin strategy — and ``seeded_for``, so the workload's
+    RTT-seeded copy is still this proxy.
     """
 
     def __init__(self, inner: ProtocolSpec, env: "ControlEnv", controlled) -> None:
-        object.__setattr__(self, "_inner", inner)
-        object.__setattr__(self, "_env", env)
-        object.__setattr__(self, "_controlled", frozenset(controlled))
-        object.__setattr__(self, "_ordinal", 0)
+        self._inner = inner
+        self._env = env
+        self._controlled = frozenset(controlled)
+        self._ordinal = 0
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def __setattr__(self, name, value):
-        if name.startswith("_"):
-            object.__setattr__(self, name, value)
-        else:
-            setattr(self._inner, name, value)
+    def seeded_for(self, tree) -> "_ControlledSpec":
+        self._inner = self._inner.seeded_for(tree)
+        return self
 
     def make_sender(self, sim, host, dst_node_id, flow_id, on_complete=None, deadline_ns=None):
         ordinal = self._ordinal
@@ -347,9 +345,8 @@ class ControlEnv:
         bridge = EnvBridgePolicy(self, flow=ordinal, inner=inner)
         self._bridges.append(bridge)
         self._bridge_by_flow[ordinal] = bridge
-        return ExternalPolicySender(
-            sim, host, dst_node_id, flow_id,
-            policy=bridge,
+        return make_external_sender(
+            bridge, sim, host, dst_node_id, flow_id,
             config=spec.tcp_config,
             plus_config=spec.plus_config,
             on_complete=on_complete,

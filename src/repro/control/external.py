@@ -14,6 +14,10 @@ is resolved identically to :class:`~repro.core.dctcp_plus.DctcpPlusSender`),
 and ``policy.bind`` runs *after* it — the program point where builtin
 subclasses create their per-flow machinery, which keeps any RNG stream
 draws at identical ``next_sequence`` offsets.
+
+:func:`make_external_sender` gives ``deadline_aware`` policies the
+:class:`DeadlineExternalPolicySender` host (D2TCP's deadline mixin on
+top), so a sender answers ``set_deadline`` exactly when its flag says so.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from ..metrics.flowstats import FlowStats
 from ..net.host import Host
 from ..sim.engine import Simulator
 from ..tcp.config import TcpConfig
+from ..tcp.d2tcp import DeadlineMixin
 from ..tcp.dctcp import DctcpSender
 from ..tcp.events import CCEvent
 from ..tcp.sender import TcpSender
@@ -45,7 +50,6 @@ class ExternalPolicySender(DctcpSender):
         plus_config: Optional[DctcpPlusConfig] = None,
         stats: Optional[FlowStats] = None,
         on_complete: Optional[Callable[[TcpSender], None]] = None,
-        deadline_ns: Optional[int] = None,
     ):
         self.policy = policy
         self.plus_config = plus_config or DctcpPlusConfig()
@@ -53,26 +57,7 @@ class ExternalPolicySender(DctcpSender):
         if policy.slow_time:
             config = config.with_overrides(min_cwnd_mss=self.plus_config.min_cwnd_mss)
         super().__init__(sim, host, dst_node_id, flow_id, config, stats, on_complete)
-        self.deadline_ns = deadline_ns
         policy.bind(self)
-
-    def set_deadline(self, absolute_deadline_ns: Optional[int]) -> None:
-        """Set (or clear) the flow's completion deadline (workload hook)."""
-        self.deadline_ns = absolute_deadline_ns
-
-    @property
-    def deadline_missed(self) -> bool:
-        if self.deadline_ns is None:
-            return False
-        reference = self.stats.completion_time_ns if self.completed else self.sim.now
-        return reference > self.deadline_ns
-
-    @property
-    def _cwnd_at_floor(self) -> bool:
-        # Same semantics as the builtin plus-family senders (the invariant
-        # checker's machine hook reads this): timeouts drop cwnd to 1 MSS,
-        # below the nominal floor; both count as "at the minimum".
-        return self.cwnd <= self.config.min_cwnd_bytes + 1e-6
 
     # -- CC event surface: forward everything to the policy ----------------------
     def on_ack(self, ev: CCEvent) -> None:
@@ -89,3 +74,18 @@ class ExternalPolicySender(DctcpSender):
 
     def _reduction_penalty(self) -> float:
         return self.policy.reduction_penalty(self)
+
+
+class DeadlineExternalPolicySender(DeadlineMixin, ExternalPolicySender):
+    """The host for ``deadline_aware`` policies: adds the deadline surface."""
+
+
+def make_external_sender(
+    policy: ExternalPolicy, *args, deadline_ns: Optional[int] = None, **kwargs
+) -> ExternalPolicySender:
+    """Build the host ``policy`` declares: deadline-aware or plain."""
+    if policy.deadline_aware:
+        return DeadlineExternalPolicySender(
+            *args, policy=policy, deadline_ns=deadline_ns, **kwargs
+        )
+    return ExternalPolicySender(*args, policy=policy, **kwargs)

@@ -106,7 +106,8 @@ class DctcpPlusScripted(ExternalPolicy):
     def bind(self, sender: "ExternalPolicySender") -> None:
         sim = sender.sim
         rng = sim.stream(f"dctcp+/{sim.next_sequence()}")
-        self.machine = SlowTimeStateMachine(sender.plus_config, rng)
+        # On the sender too, where the builtin keeps it.
+        self.machine = sender.machine = SlowTimeStateMachine(sender.plus_config, rng)
         if sender.plus_config.backoff_unit_mode == "srtt":
 
             def _srtt_unit() -> Optional[int]:
@@ -146,8 +147,8 @@ class DeadlineGreedy(ExternalPolicy):
     policy makes a binary call per window: a flow projected to miss its
     deadline (or already past it) skips the ECN backoff entirely; a flow
     on schedule backs off with full DCTCP alpha.  Deadline-less flows are
-    exact DCTCP.  The projection reuses D²TCP's rate estimate
-    ``cwnd / srtt`` with the same unseeded-estimator fallback.
+    exact DCTCP.  The projection is D²TCP's own ``d = Tc / Delta`` (the
+    host's :class:`~repro.tcp.d2tcp.DeadlineMixin`), thresholded at 1.
     """
 
     name = "deadline-greedy"
@@ -156,22 +157,11 @@ class DeadlineGreedy(ExternalPolicy):
     description = "all-or-nothing deadline heuristic (greedy bang-bang D2TCP)"
 
     def reduction_penalty(self, sender: "ExternalPolicySender") -> float:
-        deadline = sender.deadline_ns
-        if deadline is None:
+        if sender.deadline_ns is None:
             return sender.alpha
-        remaining = sender.total_bytes - sender.snd_una
-        if remaining <= 0:
-            return sender.alpha
-        time_left = deadline - sender.sim.now
-        if time_left <= 0:
-            return 0.0  # already late: hold the window, finish ASAP
-        srtt = sender.rtt.srtt_ns
-        if not srtt:
-            srtt = sender.config.seed_rtt_ns or sender.rtt.rto_initial_ns
-        completion_ns = remaining * srtt / sender.cwnd
-        if completion_ns >= time_left:
-            return 0.0  # projected to miss: no voluntary backoff
-        return sender.alpha
+        # d >= 1: already late or projected to miss — hold the window and
+        # finish ASAP; d < 1 (on schedule, or nothing left): full backoff.
+        return 0.0 if sender._current_d() >= 1.0 else sender.alpha
 
 
 # -- registry ---------------------------------------------------------------------
@@ -220,11 +210,10 @@ def external_cc(
     factory = policy_factory if policy_factory is not None else get_policy(policy_name)
 
     def _build(sim, host, dst, fid, tcp_config, plus_config, on_complete, deadline_ns):
-        from .external import ExternalPolicySender
+        from .external import make_external_sender
 
-        return ExternalPolicySender(
-            sim, host, dst, fid,
-            policy=factory(),
+        return make_external_sender(
+            factory(), sim, host, dst, fid,
             config=tcp_config,
             plus_config=plus_config,
             on_complete=on_complete,

@@ -5,6 +5,7 @@ from .config import DctcpPlusConfig
 from .dctcp_plus import DctcpPlusSender
 from .pacer import SlowTimePacer
 from .reno_plus import RenoPlusSender
+from .slow_time import SlowTimeMixin
 from .state_machine import SlowTimeStateMachine
 from .states import DctcpPlusState
 
@@ -12,6 +13,7 @@ __all__ = [
     "DctcpPlusConfig",
     "DctcpPlusSender",
     "RenoPlusSender",
+    "SlowTimeMixin",
     "SlowTimePacer",
     "SlowTimeStateMachine",
     "DctcpPlusState",

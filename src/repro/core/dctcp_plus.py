@@ -1,117 +1,20 @@
 """DCTCP+ — the paper's contribution.
 
-``DctcpPlusSender`` is a :class:`~repro.tcp.dctcp.DctcpSender` with two
-additions (and nothing else — the paper's kernel patch is <100 LoC over
-DCTCP):
-
-1. the :class:`~repro.core.state_machine.SlowTimeStateMachine`, fed by
-   every ACK (``statuses_evolution()`` in the paper is invoked per ACK),
-   plus RTO retransmissions;
-2. the :class:`~repro.core.pacer.SlowTimePacer`, gating data departures
-   by ``slow_time`` while the machine is out of NORMAL.
-
-The cwnd floor defaults to 1 MSS (paper footnote 3).
+``DctcpPlusSender`` is a :class:`~repro.tcp.dctcp.DctcpSender` carrying
+the :class:`~repro.core.slow_time.SlowTimeMixin` and nothing else — the
+paper's kernel patch is <100 LoC over DCTCP.  With ECN on, the state
+machine's congestion evidence is every ECE-marked ACK plus the loss
+channel.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Optional
-
-from ..metrics.flowstats import FlowStats
-from ..net.host import Host
-from ..sim.engine import Simulator
-from ..tcp.config import TcpConfig
 from ..tcp.dctcp import DctcpSender
-from ..tcp.events import CC_ACK_ECHO, CCEvent
-from ..tcp.sender import TcpSender
-from .config import DctcpPlusConfig
-from .pacer import SlowTimePacer
-from .state_machine import SlowTimeStateMachine
-from .states import DctcpPlusState
+from .slow_time import SlowTimeMixin
 
 
-class DctcpPlusSender(DctcpSender):
+class DctcpPlusSender(SlowTimeMixin, DctcpSender):
     """DCTCP + slow_time regulation + sending-time desynchronization."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        host: Host,
-        dst_node_id: int,
-        flow_id: int,
-        config: Optional[TcpConfig] = None,
-        plus_config: Optional[DctcpPlusConfig] = None,
-        stats: Optional[FlowStats] = None,
-        on_complete: Optional[Callable[[TcpSender], None]] = None,
-        rng: Optional[random.Random] = None,
-    ):
-        self.plus_config = plus_config or DctcpPlusConfig()
-        config = (config or TcpConfig()).with_overrides(min_cwnd_mss=self.plus_config.min_cwnd_mss)
-        super().__init__(sim, host, dst_node_id, flow_id, config, stats, on_complete)
-        machine_rng = rng if rng is not None else sim.stream(f"dctcp+/{sim.next_sequence()}")
-        self.machine = SlowTimeStateMachine(self.plus_config, machine_rng)
-        if self.plus_config.backoff_unit_mode == "srtt":
-            self.machine.unit_source = self._srtt_unit
-        self.pacer = SlowTimePacer(self.machine)
-        #: set when an RTO fired and its retransmission is outstanding, so
-        #: the next ``statuses_evolution`` input counts as congestion
-        #: ("retrans" arc in Fig. 4) even if the ACK carries no ECE.
-        self._retrans_pending = False
-        hooks = sim.hooks
-        if hooks is not None:
-            hooks.machine_created(self.machine, self)
-
-    def _srtt_unit(self):
-        """Live backoff unit for ``backoff_unit_mode='srtt'``: the smoothed
-        RTT estimate, which tracks queueing delay under fan-in."""
-        srtt = self.rtt.srtt_ns
-        return int(srtt) if srtt is not None else None
-
-    # -- state machine inputs ----------------------------------------------------
-    @property
-    def _cwnd_at_floor(self) -> bool:
-        # Timeouts drop cwnd to 1 MSS, below the nominal floor; both count
-        # as "cwnd has diminished to the minimum value".
-        return self.cwnd <= self.config.min_cwnd_bytes + 1e-6
-
-    def on_ecn_echo(self, ev: CCEvent) -> None:
-        if ev.kind is not CC_ACK_ECHO:
-            super().on_ecn_echo(ev)
-            return
-        # Fig. 4's "retrans" condition, kernel reading: the sender is in
-        # loss recovery after a timeout (CA_Loss) — every ACK while the
-        # retransmitted window drains counts as congestion evidence, not
-        # just the ACK that follows the first resend.
-        congested = ev.ece or self._retrans_pending or self.in_rto_recovery
-        if congested:
-            # Fig. 4: only the NORMAL -> Time_Inc entry requires cwnd at the
-            # minimum; once engaged, *any* ECE-marked ACK (or a timeout
-            # retransmission) keeps growing slow_time, even if cwnd has
-            # crept above the floor.
-            if self.machine.state is not DctcpPlusState.NORMAL or self._cwnd_at_floor:
-                self.machine.on_congestion_event()
-            # NORMAL with cwnd above the floor: plain DCTCP window control
-            # is still responsive; the machine stays in NORMAL.
-        else:
-            self.machine.on_clean_ack(ev.time_ns)
-        self._retrans_pending = False
-        super().on_ecn_echo(ev)
-
-    def on_rto(self, ev: CCEvent) -> None:
-        super().on_rto(ev)
-        # The timeout retransmission itself is the "retrans" congestion
-        # signal; register it immediately so the pacer spaces the go-back-N
-        # resends, and remember it for the next ACK's evaluation.
-        self._retrans_pending = True
-        if self._cwnd_at_floor:
-            self.machine.on_congestion_event()
-
-    # -- views --------------------------------------------------------------------
-    @property
-    def state(self) -> DctcpPlusState:
-        return self.machine.state
-
-    @property
-    def slow_time_ns(self) -> int:
-        return self.machine.slow_time_ns
+    stream_label = "dctcp+"
+    ecn = True

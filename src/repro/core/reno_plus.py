@@ -14,81 +14,12 @@ TCP's incast behaviour at moderate fan-in.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-from ..metrics.flowstats import FlowStats
-from ..net.host import Host
-from ..sim.engine import Simulator
-from ..tcp.config import TcpConfig
-from ..tcp.events import CC_ACK_ECHO, CCEvent
 from ..tcp.sender import TcpSender
-from .config import DctcpPlusConfig
-from .pacer import SlowTimePacer
-from .state_machine import SlowTimeStateMachine
-from .states import DctcpPlusState
+from .slow_time import SlowTimeMixin
 
 
-class RenoPlusSender(TcpSender):
+class RenoPlusSender(SlowTimeMixin, TcpSender):
     """TCP New Reno + slow_time regulation driven by the loss channel."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        host: Host,
-        dst_node_id: int,
-        flow_id: int,
-        config: Optional[TcpConfig] = None,
-        plus_config: Optional[DctcpPlusConfig] = None,
-        stats: Optional[FlowStats] = None,
-        on_complete: Optional[Callable[[TcpSender], None]] = None,
-    ):
-        self.plus_config = plus_config or DctcpPlusConfig()
-        config = (config or TcpConfig()).with_overrides(
-            min_cwnd_mss=self.plus_config.min_cwnd_mss, ecn_enabled=False
-        )
-        super().__init__(sim, host, dst_node_id, flow_id, config, stats, on_complete)
-        self.machine = SlowTimeStateMachine(
-            self.plus_config, sim.stream(f"tcp+/{sim.next_sequence()}")
-        )
-        if self.plus_config.backoff_unit_mode == "srtt":
-            self.machine.unit_source = self._srtt_unit
-        self.pacer = SlowTimePacer(self.machine)
-        self._retrans_pending = False
-        hooks = sim.hooks
-        if hooks is not None:
-            hooks.machine_created(self.machine, self)
-
-    def _srtt_unit(self):
-        srtt = self.rtt.srtt_ns
-        return int(srtt) if srtt is not None else None
-
-    @property
-    def _cwnd_at_floor(self) -> bool:
-        return self.cwnd <= self.config.min_cwnd_bytes + 1e-6
-
-    def on_ecn_echo(self, ev: CCEvent) -> None:
-        if ev.kind is not CC_ACK_ECHO:
-            super().on_ecn_echo(ev)
-            return
-        congested = self._retrans_pending or self.in_rto_recovery
-        if congested:
-            if self.machine.state is not DctcpPlusState.NORMAL or self._cwnd_at_floor:
-                self.machine.on_congestion_event()
-        else:
-            self.machine.on_clean_ack(ev.time_ns)
-        self._retrans_pending = False
-        super().on_ecn_echo(ev)
-
-    def on_rto(self, ev: CCEvent) -> None:
-        super().on_rto(ev)
-        self._retrans_pending = True
-        if self._cwnd_at_floor:
-            self.machine.on_congestion_event()
-
-    @property
-    def state(self) -> DctcpPlusState:
-        return self.machine.state
-
-    @property
-    def slow_time_ns(self) -> int:
-        return self.machine.slow_time_ns
+    stream_label = "tcp+"
+    ecn = False

@@ -132,7 +132,7 @@ class ScenarioSpec:
         """Build a spec from the kwargs the figure drivers historically used.
 
         ``rto_min_ms`` / ``min_cwnd_mss`` are folded into ``tcp_overrides``
-        exactly as :func:`repro.experiments.common.make_spec` does.
+        (:func:`repro.experiments.common.make_spec` resolves through here).
         """
         tcp: Dict[str, object] = dict(tcp_overrides or {})
         if rto_min_ms is not None:

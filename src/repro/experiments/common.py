@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..exec import PointResult, ScenarioSpec, get_executor
 from ..metrics.report import format_table
-from ..workloads.protocols import ProtocolSpec, spec_for
+from ..workloads.protocols import ProtocolSpec
 
 #: Backwards-compatible alias: the ad-hoc per-figure result type is now the
 #: execution layer's :class:`~repro.exec.PointResult` (with background
@@ -85,13 +85,11 @@ def make_spec(
     min_cwnd_mss: Optional[float] = None,
     plus_overrides: Optional[dict] = None,
 ) -> ProtocolSpec:
-    """Protocol spec with the overrides the figures vary."""
-    tcp_overrides: Dict[str, object] = {}
-    if rto_min_ms is not None:
-        tcp_overrides["rto_min_ns"] = int(rto_min_ms * 1e6)
-    if min_cwnd_mss is not None:
-        tcp_overrides["min_cwnd_mss"] = min_cwnd_mss
-    return spec_for(protocol, tcp_overrides=tcp_overrides, plus_overrides=plus_overrides)
+    """Protocol spec with the overrides the figures vary (resolved exactly
+    as a :class:`ScenarioSpec` point would resolve them)."""
+    return ScenarioSpec.create(
+        protocol, 1, rto_min_ms=rto_min_ms, min_cwnd_mss=min_cwnd_mss, plus_overrides=plus_overrides
+    ).protocol_spec()
 
 
 def point_specs(

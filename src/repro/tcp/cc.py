@@ -13,8 +13,10 @@ protocol plumbing.
 
 Builtins are bound here, in the paper's presentation order, so the
 registry contents never depend on which module a caller imported first.
-Factories import their sender lazily to keep this module import-cycle
-free (``repro.core`` imports ``repro.tcp`` but not vice versa).
+Their factories import the sender class lazily, which keeps this module
+import-cycle free (the sender modules import ``repro.core`` and
+``repro.tcp`` in both directions), and are derived from the registered
+flags themselves (:func:`_builtin`).
 
 Example — registering an external strategy::
 
@@ -34,6 +36,7 @@ fuzzer, and the arena experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -182,63 +185,33 @@ def cc_labels() -> Dict[str, str]:
 
 
 # -- builtin strategies -----------------------------------------------------------
-def _tcp(sim, host, dst, fid, tcp_config, plus_config, on_complete, deadline_ns):
-    from .sender import TcpSender
+def _builtin(name: str, label: str, sender: str, description: str, **flags) -> None:
+    """Register a builtin whose factory acts on its own registered flags.
 
-    return TcpSender(
-        sim, host, dst, fid,
-        config=tcp_config.with_overrides(ecn_enabled=False),
-        on_complete=on_complete,
+    ``sender`` is ``"<relative module>:<class>"``, imported on first build.
+    ``slow_time`` passes the plus config, ``deadline_aware`` the deadline,
+    ``ecn=False`` forces ECN off — so the metadata cannot drift from the
+    wiring.
+    """
+    sender_cls = None
+
+    def factory(sim, host, dst, fid, tcp_config, plus_config, on_complete, deadline_ns):
+        nonlocal sender_cls
+        if sender_cls is None:
+            module, _, cls = sender.partition(":")
+            sender_cls = getattr(import_module(module, __package__), cls)
+        kwargs = {}
+        if cc.slow_time:
+            kwargs["plus_config"] = plus_config
+        if cc.deadline_aware:
+            kwargs["deadline_ns"] = deadline_ns
+        if not cc.ecn:
+            tcp_config = tcp_config.with_overrides(ecn_enabled=False)
+        return sender_cls(sim, host, dst, fid, config=tcp_config, on_complete=on_complete, **kwargs)
+
+    cc = register(
+        CongestionControl(name, label, factory, description=description, **flags)
     )
-
-
-def _dctcp(sim, host, dst, fid, tcp_config, plus_config, on_complete, deadline_ns):
-    from .dctcp import DctcpSender
-
-    return DctcpSender(sim, host, dst, fid, config=tcp_config, on_complete=on_complete)
-
-
-def _dctcp_plus(sim, host, dst, fid, tcp_config, plus_config, on_complete, deadline_ns):
-    from ..core.dctcp_plus import DctcpPlusSender
-
-    return DctcpPlusSender(
-        sim, host, dst, fid,
-        config=tcp_config, plus_config=plus_config, on_complete=on_complete,
-    )
-
-
-def _tcp_plus(sim, host, dst, fid, tcp_config, plus_config, on_complete, deadline_ns):
-    from ..core.reno_plus import RenoPlusSender
-
-    return RenoPlusSender(
-        sim, host, dst, fid,
-        config=tcp_config, plus_config=plus_config, on_complete=on_complete,
-    )
-
-
-def _d2tcp(sim, host, dst, fid, tcp_config, plus_config, on_complete, deadline_ns):
-    from .d2tcp import D2tcpSender
-
-    return D2tcpSender(
-        sim, host, dst, fid,
-        config=tcp_config, on_complete=on_complete, deadline_ns=deadline_ns,
-    )
-
-
-def _d2tcp_plus(sim, host, dst, fid, tcp_config, plus_config, on_complete, deadline_ns):
-    from .d2tcp import D2tcpPlusSender
-
-    return D2tcpPlusSender(
-        sim, host, dst, fid,
-        config=tcp_config, plus_config=plus_config,
-        on_complete=on_complete, deadline_ns=deadline_ns,
-    )
-
-
-def _pulser(sim, host, dst, fid, tcp_config, plus_config, on_complete, deadline_ns):
-    from .pulser import PulserSender
-
-    return PulserSender(sim, host, dst, fid, config=tcp_config, on_complete=on_complete)
 
 
 def _pulser_install(tree: "TwoTierTree") -> None:
@@ -247,50 +220,23 @@ def _pulser_install(tree: "TwoTierTree") -> None:
     install_incast_notification(tree)
 
 
-def _tbtcp(sim, host, dst, fid, tcp_config, plus_config, on_complete, deadline_ns):
-    from .tbtcp import TbtcpSender
-
-    return TbtcpSender(sim, host, dst, fid, config=tcp_config, on_complete=on_complete)
-
-
-register(CongestionControl(
-    name="tcp", label="TCP", factory=_tcp, ecn=False,
-    description="TCP New Reno, no ECN (the paper's TCP baseline)",
-))
-register(CongestionControl(
-    name="dctcp", label="DCTCP", factory=_dctcp,
-    description="DCTCP (Alizadeh et al.)",
-))
-register(CongestionControl(
-    name="dctcp+", label="DCTCP+", factory=_dctcp_plus, slow_time=True,
-    description="full DCTCP+ (randomized slow_time regulation)",
-))
-register(CongestionControl(
-    name="dctcp+norand", label="DCTCP+ (no desync)", factory=_dctcp_plus,
-    slow_time=True,
-    description="partially implemented DCTCP+ (Fig. 6): no randomization",
-))
-register(CongestionControl(
-    name="tcp+", label="TCP+", factory=_tcp_plus, ecn=False, slow_time=True,
-    description="New Reno + slow_time regulation (loss-channel driven)",
-))
-register(CongestionControl(
-    name="d2tcp", label="D2TCP", factory=_d2tcp, deadline_aware=True,
-    description="deadline-aware DCTCP (Vamanan et al.)",
-))
-register(CongestionControl(
-    name="d2tcp+", label="D2TCP+", factory=_d2tcp_plus, slow_time=True,
-    deadline_aware=True,
-    description="D2TCP carrying the slow_time enhancement (Section VII)",
-))
-register(CongestionControl(
-    name="pulser", label="Pulser", factory=_pulser,
-    install_network=_pulser_install,
-    description="DCTCP + explicit incast-onset notification from the switch "
-    "(Pulser-style, arXiv:1809.09751)",
-))
-register(CongestionControl(
-    name="tbtcp", label="TBTCP", factory=_tbtcp,
-    description="DCTCP paced at cwnd/srtt with a capped window, holding the "
-    "bottleneck queue near zero (TBTCP-style, arXiv:1909.05392)",
-))
+_builtin("tcp", "TCP", ".sender:TcpSender", ecn=False,
+         description="TCP New Reno, no ECN (the paper's TCP baseline)")
+_builtin("dctcp", "DCTCP", ".dctcp:DctcpSender", description="DCTCP (Alizadeh et al.)")
+_builtin("dctcp+", "DCTCP+", "..core.dctcp_plus:DctcpPlusSender", slow_time=True,
+         description="full DCTCP+ (randomized slow_time regulation)")
+_builtin("dctcp+norand", "DCTCP+ (no desync)", "..core.dctcp_plus:DctcpPlusSender",
+         slow_time=True,
+         description="partially implemented DCTCP+ (Fig. 6): no randomization")
+_builtin("tcp+", "TCP+", "..core.reno_plus:RenoPlusSender", ecn=False, slow_time=True,
+         description="New Reno + slow_time regulation (loss-channel driven)")
+_builtin("d2tcp", "D2TCP", ".d2tcp:D2tcpSender", deadline_aware=True,
+         description="deadline-aware DCTCP (Vamanan et al.)")
+_builtin("d2tcp+", "D2TCP+", ".d2tcp:D2tcpPlusSender", slow_time=True, deadline_aware=True,
+         description="D2TCP carrying the slow_time enhancement (Section VII)")
+_builtin("pulser", "Pulser", ".pulser:PulserSender", install_network=_pulser_install,
+         description="DCTCP + explicit incast-onset notification from the switch "
+         "(Pulser-style, arXiv:1809.09751)")
+_builtin("tbtcp", "TBTCP", ".tbtcp:TbtcpSender",
+         description="DCTCP paced at cwnd/srtt with a capped window, holding the "
+         "bottleneck queue near zero (TBTCP-style, arXiv:1909.05392)")

@@ -55,10 +55,19 @@ def deadline_factor(
     return max(d_min, min(d_max, d))
 
 
-class _DeadlineMixin:
-    """Shared deadline bookkeeping for the two D2TCP senders."""
+class DeadlineMixin:
+    """Per-flow deadline bookkeeping and the completion-time projection.
 
-    deadline_ns: Optional[int]
+    The one home of ``set_deadline`` / ``deadline_missed`` and of the
+    ``cwnd / srtt`` rate estimate: the D2TCP senders below and the
+    deadline-aware ``external:`` host
+    (:class:`~repro.control.external.DeadlineExternalPolicySender`) all
+    carry it.  What a strategy *does* with the projection is its own law.
+    """
+
+    def __init__(self, *args, deadline_ns: Optional[int] = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.deadline_ns = deadline_ns
 
     def set_deadline(self, absolute_deadline_ns: Optional[int]) -> None:
         """Set (or clear) the flow's completion deadline."""
@@ -73,6 +82,8 @@ class _DeadlineMixin:
         return reference > self.deadline_ns
 
     def _current_d(self) -> float:
+        """``d = Tc / Delta`` at the current window (1 without a deadline);
+        ``d >= 1`` means the flow is projected to miss."""
         if self.deadline_ns is None:
             return 1.0  # deadline-less flows behave exactly like DCTCP
         remaining = self.total_bytes - self.snd_una
@@ -87,23 +98,19 @@ class _DeadlineMixin:
         rate = self.cwnd / srtt  # bytes per ns at the current window
         return deadline_factor(remaining, rate, self.deadline_ns - self.sim.now)
 
+
+class _D2tcpLaw(DeadlineMixin):
+    """D2TCP's gamma-corrected backoff over the deadline projection."""
+
     def _reduction_penalty(self) -> float:
         # p = alpha ** d; d > 1 (deadline imminent) shrinks the penalty,
         # d < 1 (deadline far) grows it (alpha is in [0, 1]).
         return self.alpha ** self._current_d()
 
 
-class D2tcpSender(_DeadlineMixin, DctcpSender):
+class D2tcpSender(_D2tcpLaw, DctcpSender):
     """DCTCP with deadline-gamma-corrected window reduction."""
 
-    def __init__(self, *args, deadline_ns: Optional[int] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.deadline_ns = deadline_ns
 
-
-class D2tcpPlusSender(_DeadlineMixin, DctcpPlusSender):
+class D2tcpPlusSender(_D2tcpLaw, DctcpPlusSender):
     """D²TCP carrying the paper's slow_time enhancement (Section VII)."""
-
-    def __init__(self, *args, deadline_ns: Optional[int] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.deadline_ns = deadline_ns

@@ -217,6 +217,13 @@ class TcpSender:
         return self._fl.snd_una[self._slot] < self.rto_recovery_point
 
     @property
+    def _cwnd_at_floor(self) -> bool:
+        """The slow_time machine's NORMAL -> Time_Inc entry condition ("cwnd
+        has diminished to the minimum value").  Timeouts drop cwnd to 1 MSS,
+        below the nominal floor; both count."""
+        return self.cwnd <= self.config.min_cwnd_bytes + 1e-6
+
+    @property
     def cwnd_mss(self) -> float:
         return self._fl.cwnd[self._slot] / self.config.mss
 

@@ -42,6 +42,7 @@ from ..exec.executors import ParallelExecutor
 from ..exec.scenario import PointResult, ScenarioSpec, run_scenario
 from ..net.topology import WiringError
 from ..sim.units import KB, MB, SEC
+from ..tcp.cc import get_cc
 from .checker import InvariantViolation
 
 #: Protocols the fuzzer samples (the full implemented matrix minus the
@@ -74,7 +75,9 @@ def draw_spec(seed: int) -> ScenarioSpec:
     # dimension instead of the protocol label, so the differentials cover
     # the cc-resolution path (and its cache-key contribution) too.
     cc = rng.choice(FUZZ_PROTOCOLS) if rng.random() < 0.2 else ""
-    effective = cc or protocol
+    # Registry flags, not name patterns, decide what a draw may vary, so
+    # ``external:`` policies take the same branches as the builtins.
+    strategy = get_cc(cc or protocol)
     topology = rng.choice(FUZZ_TOPOLOGIES)
     workload = rng.choice(FUZZ_WORKLOADS)
 
@@ -110,7 +113,7 @@ def draw_spec(seed: int) -> ScenarioSpec:
         # default 60 simulated seconds.
         "round_deadline_ns": 2 * SEC,
     }
-    if "d2tcp" in effective and rng.random() < 0.5:
+    if strategy.deadline_aware and rng.random() < 0.5:
         incast["flow_deadline_ns"] = rng.choice([5_000_000, 20_000_000])
 
     workload_overrides: Optional[Dict[str, object]] = None
@@ -129,7 +132,7 @@ def draw_spec(seed: int) -> ScenarioSpec:
         }
 
     plus: Dict[str, object] = {}
-    if effective.endswith("+") or effective == "dctcp+norand":
+    if strategy.slow_time:
         plus["backoff_unit_mode"] = rng.choice(["fixed", "srtt"])
 
     fault: Optional[Dict[str, object]] = None

@@ -10,10 +10,10 @@ from .distributions import (
     exponential_interarrival_ns,
     sample_flow_size_bytes,
 )
-from .base import ClosedLoopWorkload
+from .base import ClosedLoopWorkload, RoundResult
 from .http import RESPONSE_SIZE_CDFS, HttpConfig, HttpWorkload
 from .ids import next_flow_id
-from .incast import IncastConfig, IncastWorkload, RoundResult
+from .incast import IncastConfig, IncastWorkload
 from .protocols import PROTOCOLS, ProtocolSpec, spec_for
 from .swarm import SwarmConfig, SwarmWorkload
 

@@ -75,10 +75,8 @@ class BackgroundTraffic:
     ):
         self.sim = sim
         self.tree = tree
-        self.spec = spec
+        self.spec = spec.seeded_for(tree)
         self.config = config or BackgroundConfig()
-        if spec.tcp_config.seed_rtt_ns is None:
-            spec.tcp_config = spec.tcp_config.with_overrides(seed_rtt_ns=tree.baseline_rtt_ns())
         if server_indices is None:
             n = self.config.n_flows
             server_indices = [len(tree.servers) - 1 - i for i in range(n)]

@@ -205,10 +205,8 @@ class BenchmarkWorkload:
     ):
         self.sim = sim
         self.tree = tree
-        self.spec = spec
+        self.spec = spec.seeded_for(tree)
         self.config = config or BenchmarkConfig()
-        if spec.tcp_config.seed_rtt_ns is None:
-            spec.tcp_config = spec.tcp_config.with_overrides(seed_rtt_ns=tree.baseline_rtt_ns())
         self.records: List[FlowRecord] = []
         self.finished = False
         self._queries_left = self.config.n_queries

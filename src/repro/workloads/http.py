@@ -11,7 +11,7 @@ Response sizes and think times come from the empirical CDFs in
 :mod:`repro.workloads.distributions` (drawn from per-client named
 simulator streams, so a scenario replays identically anywhere).  Every
 completed request is recorded as a
-:class:`~repro.workloads.incast.RoundResult`, so the scenario layer's
+:class:`~repro.workloads.base.RoundResult`, so the scenario layer's
 goodput / p99-FCT / timeout-taxonomy path consumes this workload
 unchanged.
 """
@@ -25,7 +25,7 @@ from ..net.pool import PacketPool
 from ..sim.engine import Simulator
 from ..sim.units import MS, SEC
 from ..tcp.receiver import TcpReceiver
-from .base import ClosedLoopWorkload
+from .base import ClosedLoopWorkload, RoundResult
 from .distributions import (
     BACKGROUND_FLOW_SIZE_CDF,
     BACKGROUND_INTERARRIVAL_CDF,
@@ -33,7 +33,7 @@ from .distributions import (
     sample_flow_size_bytes,
 )
 from .ids import next_flow_id
-from .incast import RoundResult, _RequestListener
+from .incast import _RequestListener
 from .protocols import ProtocolSpec
 
 #: Named response-size distributions selectable from a spec (strings keep
@@ -128,7 +128,6 @@ class HttpWorkload(ClosedLoopWorkload):
         super().__init__(sim, tree, spec)
         self.config = config
         self.clients: List[_HttpClient] = []
-        self._live = 0
         self._build_clients()
 
     # -- construction ----------------------------------------------------------
@@ -232,7 +231,7 @@ class HttpWorkload(ClosedLoopWorkload):
         self._record(client, completed=True)
         client.requests_done += 1
         if client.requests_done >= self.config.n_requests:
-            self._client_done()
+            self._loop_done()
             return
         think = self._think_ns(client)
         if think > 0:
@@ -244,12 +243,7 @@ class HttpWorkload(ClosedLoopWorkload):
         client.deadline_event = None
         client.gave_up = True
         self._record(client, completed=False)
-        self._client_done()
-
-    def _client_done(self) -> None:
-        self._live -= 1
-        if self._live == 0:
-            self._finish()
+        self._loop_done()
 
     def _think_ns(self, client: _HttpClient) -> int:
         cfg = self.config

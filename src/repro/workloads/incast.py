@@ -20,15 +20,15 @@ of each other — the synchronization that produces the fan-in burst.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
-from ..net.host import Host
 from ..net.pool import PacketPool
 from ..net.topology import TwoTierTree
 from ..sim.engine import Simulator
-from ..sim.units import MB, SEC, bits_per_second
+from ..sim.units import MB, SEC
 from ..tcp.receiver import TcpReceiver
 from ..tcp.sender import TcpSender
+from .base import ClosedLoopWorkload, RoundResult
 from .ids import next_flow_id
 from .protocols import ProtocolSpec
 
@@ -83,25 +83,6 @@ class IncastConfig:
         return self.sru_bytes * self.n_flows
 
 
-@dataclass
-class RoundResult:
-    """Outcome of one request/response round."""
-
-    index: int
-    start_ns: int
-    duration_ns: int
-    bytes_received: int
-    timeouts: int
-    completed: bool
-    #: flows that finished after the configured flow deadline (0 when no
-    #: deadline is configured).
-    missed_deadlines: int = 0
-
-    @property
-    def goodput_bps(self) -> float:
-        return bits_per_second(self.bytes_received, self.duration_ns)
-
-
 class _RequestListener:
     """Worker-side endpoint that starts the response on request arrival."""
 
@@ -116,7 +97,7 @@ class _RequestListener:
         self.callback()
 
 
-class IncastWorkload:
+class IncastWorkload(ClosedLoopWorkload):
     """Drives ``n_rounds`` of the incast pattern over persistent flows."""
 
     def __init__(
@@ -127,37 +108,18 @@ class IncastWorkload:
         config: IncastConfig,
         on_round_end: Optional[Callable[[RoundResult], None]] = None,
     ):
-        self.sim = sim
-        self.tree = tree
-        self.spec = spec
+        super().__init__(sim, tree, spec)
         self.config = config
         self.on_round_end = on_round_end
-        self.rounds: List[RoundResult] = []
-        self.finished = False
         self._jitter_rng = sim.stream("incast/jitter")
-        # Seed the RTT estimator as a persistent connection would be (the
-        # connection's handshake and first rounds have measured the path).
-        if spec.tcp_config.seed_rtt_ns is None:
-            spec.tcp_config = spec.tcp_config.with_overrides(seed_rtt_ns=tree.baseline_rtt_ns())
         self._round_index = 0
-        self.senders: List[TcpSender] = []
-        self.receivers: List[TcpReceiver] = []
-        self._ctrl: List[Tuple[Host, int]] = []
         self._pending = 0
         self._round_start = 0
         self._missed_this_round = 0
         self._deadline_event = None
         self._bytes_at_round_start = 0
         self._timeouts_at_round_start = 0
-        self._started = False
-        self._stop_on_finish = False
         self._build_flows()
-
-    @property
-    def flow_stats(self) -> List:
-        """Per-flow lifetime statistics (span all rounds, like the paper's
-        per-flow kernel traces)."""
-        return [s.stats for s in self.senders]
 
     # -- construction ----------------------------------------------------------
     def _build_flows(self) -> None:
@@ -197,40 +159,6 @@ class IncastWorkload:
 
         return _start
 
-    # -- public ------------------------------------------------------------------
-    def start(self) -> None:
-        """Schedule the first round at the current simulated time."""
-        if self._started:
-            raise RuntimeError("workload already started")
-        self._started = True
-        self.sim.schedule(0, self._begin_round)
-
-    def run_to_completion(self, max_events: Optional[int] = None) -> None:
-        """Start (if needed) and pump the simulator until all rounds end.
-
-        Only runs pumped here stop at workload completion; a caller driving
-        ``sim.run(until=...)`` itself (e.g. to keep a queue sampler or
-        background traffic going past the last round) runs to its own bound.
-        """
-        if not self._started:
-            self.start()
-        if not self.finished:
-            self._stop_on_finish = True
-            try:
-                self.sim.run(max_events=max_events)
-            finally:
-                self._stop_on_finish = False
-
-    def close(self) -> None:
-        """Tear down all endpoints (end of the experiment)."""
-        for sender in self.senders:
-            sender.close()
-        for receiver in self.receivers:
-            receiver.close()
-        for server, ctrl_id in self._ctrl:
-            server.unregister_flow(ctrl_id)
-        self._ctrl = []
-
     # -- round lifecycle -----------------------------------------------------------
     def _begin_round(self) -> None:
         cfg = self.config
@@ -265,6 +193,10 @@ class IncastWorkload:
             else:
                 tree.aggregator.send(request)
         self._deadline_event = sim.schedule(cfg.round_deadline_ns, self._on_deadline)
+
+    #: The base lifecycle's entry point; the method keeps its own name
+    #: because profiles attribute round setup to it by ``__qualname__``.
+    _begin = _begin_round
 
     def _on_flow_complete(self, receiver: TcpReceiver) -> None:
         self._pending -= 1
@@ -305,34 +237,11 @@ class IncastWorkload:
 
         self._round_index += 1
         if self._round_index >= self.config.n_rounds:
-            self.finished = True
-            # Stop the pump via the engine flag rather than a per-event
-            # stop_when predicate — but only when run_to_completion is the
-            # pump, so a caller's own sim.run(until=...) keeps its scope.
-            if self._stop_on_finish:
-                sim.request_stop()
+            self._finish()
         else:
             sim.schedule(0, self._begin_round)
 
     # -- aggregate views -------------------------------------------------------------
-    @property
-    def mean_goodput_bps(self) -> float:
-        """Average application goodput across rounds (paper Fig. 1/7/8/11)."""
-        if not self.rounds:
-            return 0.0
-        return sum(r.goodput_bps for r in self.rounds) / len(self.rounds)
-
-    @property
-    def mean_fct_ns(self) -> float:
-        """Average round completion time (the paper's FCT, Fig. 7/12)."""
-        if not self.rounds:
-            return 0.0
-        return sum(r.duration_ns for r in self.rounds) / len(self.rounds)
-
-    @property
-    def total_timeouts(self) -> int:
-        return sum(r.timeouts for r in self.rounds)
-
     @property
     def total_missed_deadlines(self) -> int:
         return sum(r.missed_deadlines for r in self.rounds)

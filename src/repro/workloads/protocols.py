@@ -30,7 +30,7 @@ Arena competitors from PAPERS.md:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..core.config import DctcpPlusConfig
@@ -70,6 +70,19 @@ class ProtocolSpec:
         """Display name matching the paper's figures."""
         return self.cc.label
 
+    def seeded_for(self, tree: TwoTierTree) -> "ProtocolSpec":
+        """This spec with the RTT estimator seeded for ``tree``.
+
+        Workloads model persistent connections, which have already measured
+        the path: senders start from the tree's baseline RTT unless the spec
+        carries an explicit seed.  ``self`` is never modified, so one spec
+        can serve several trees.
+        """
+        if self.tcp_config.seed_rtt_ns is not None:
+            return self
+        seeded = self.tcp_config.with_overrides(seed_rtt_ns=tree.baseline_rtt_ns())
+        return replace(self, tcp_config=seeded)
+
     def install_network(self, tree: TwoTierTree) -> None:
         """Run the strategy's network-side hook (if any) on a built tree."""
         if self.cc.install_network is not None:
@@ -106,7 +119,20 @@ def spec_for(
     tcp_overrides: Optional[dict] = None,
     plus_overrides: Optional[dict] = None,
 ) -> ProtocolSpec:
-    """Build a :class:`ProtocolSpec` with optional config overrides."""
-    tcp_config = TcpConfig(**(tcp_overrides or {}))
-    plus_config = DctcpPlusConfig(**(plus_overrides or {}))
-    return ProtocolSpec(name, tcp_config, plus_config)
+    """Build a :class:`ProtocolSpec` with optional config overrides.
+
+    A slow_time sender takes its cwnd floor from the plus config, so an
+    explicit transport ``min_cwnd_mss`` is carried over to it here — the
+    last point that knows which fields were set explicitly.
+    """
+    tcp_overrides = dict(tcp_overrides or {})
+    plus_overrides = dict(plus_overrides or {})
+    if get_cc(name).slow_time and "min_cwnd_mss" in tcp_overrides:
+        floor = tcp_overrides["min_cwnd_mss"]
+        if plus_overrides.setdefault("min_cwnd_mss", floor) != floor:
+            raise ValueError(
+                f"{name!r}: TcpConfig.min_cwnd_mss={floor} contradicts "
+                f"DctcpPlusConfig.min_cwnd_mss={plus_overrides['min_cwnd_mss']}, "
+                "the floor a slow_time sender runs with; set one of them"
+            )
+    return ProtocolSpec(name, TcpConfig(**tcp_overrides), DctcpPlusConfig(**plus_overrides))

@@ -12,7 +12,7 @@ Transfers reuse persistent per-(source, fetcher) TCP pairs, created
 lazily on first use — TCP state (cwnd, RTT estimate, DCTCP alpha) carries
 across repeated fetches over the same pair, like the other closed-loop
 workloads.  Every piece fetch is recorded as a
-:class:`~repro.workloads.incast.RoundResult`.
+:class:`~repro.workloads.base.RoundResult`.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from ..net.pool import PacketPool
 from ..sim.engine import Simulator
 from ..sim.units import KB, SEC
 from ..tcp.receiver import TcpReceiver
-from .base import ClosedLoopWorkload
+from .base import ClosedLoopWorkload, RoundResult
 from .ids import next_flow_id
-from .incast import RoundResult, _RequestListener
+from .incast import _RequestListener
 from .protocols import ProtocolSpec
 
 
@@ -117,7 +117,6 @@ class SwarmWorkload(ClosedLoopWorkload):
         # (source index, fetcher index) -> persistent transfer pair,
         # created lazily the first time that direction is used.
         self._pairs: Dict[Tuple[int, int], _Pair] = {}
-        self._live = 0
 
     # -- pair management -------------------------------------------------------
     def _pair_for(self, src: _Peer, fetcher: _Peer) -> _Pair:
@@ -215,7 +214,7 @@ class SwarmWorkload(ClosedLoopWorkload):
         self._record(fetcher, completed=True)
         fetcher.pieces_done += 1
         if fetcher.pieces_done >= self.config.n_pieces:
-            self._peer_done()
+            self._loop_done()
             return
         self._fetch(fetcher)
 
@@ -223,9 +222,4 @@ class SwarmWorkload(ClosedLoopWorkload):
         fetcher.deadline_event = None
         fetcher.gave_up = True
         self._record(fetcher, completed=False)
-        self._peer_done()
-
-    def _peer_done(self) -> None:
-        self._live -= 1
-        if self._live == 0:
-            self._finish()
+        self._loop_done()

@@ -43,6 +43,18 @@ class TestDrawSpec:
         assert all(s.cc_name == s.cc for s in routed)
         assert all(s.cc_name == s.protocol for s in specs if not s.cc)
 
+    def test_draws_follow_registry_flags_not_name_patterns(self):
+        from repro.tcp.cc import get_cc
+
+        specs = [draw_spec(s) for s in range(1, 120)]
+        srtt = {s.cc_name for s in specs if dict(s.plus_overrides).get("backoff_unit_mode") == "srtt"}
+        deadlines = {s.cc_name for s in specs if "flow_deadline_ns" in dict(s.incast_overrides)}
+        assert all(get_cc(name).slow_time for name in srtt)
+        assert all(get_cc(name).deadline_aware for name in deadlines)
+        # external: policies take the same branches as the builtins they mirror
+        assert "external:dctcp-plus-scripted" in srtt
+        assert "external:deadline-greedy" in deadlines
+
     def test_draws_cover_topologies_and_workloads(self):
         from repro.validate.fuzz import FUZZ_TOPOLOGIES, FUZZ_WORKLOADS
 
