@@ -111,7 +111,7 @@ from .workloads import (
 from . import config
 from .experiments.common import run_incast_batch
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "Simulator",

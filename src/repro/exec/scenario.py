@@ -20,7 +20,10 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from itertools import accumulate, chain, pairwise, starmap
+from operator import attrgetter
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..metrics.flowstats import FlowStats
 from ..metrics.queue_sampler import QueueSampler
@@ -46,7 +49,9 @@ from ..workloads.swarm import SwarmConfig, SwarmWorkload
 #: v4: ScenarioSpec.topology / workload / workload_overrides dimensions.
 #: v5: external CC policies (cc="external:<policy>") resolve through the
 #:     strategy registry; their senders ride the CC event protocol.
-SCHEMA_VERSION = 5
+#: v6: columnar ``flow_stats`` / ``trace_events`` (one array per field); the
+#:     key hashes version, schema and :attr:`ScenarioSpec.canonical_text`.
+SCHEMA_VERSION = 6
 
 #: Spec-level workload names (see :func:`_make_workload`): the incast
 #: barrier benchmark, the HTTP closed loop, and the many-to-many swarm.
@@ -65,6 +70,11 @@ def _freeze(overrides: Optional[Mapping[str, object]]) -> Overrides:
 def _listify(value: tuple) -> list:
     """Tuples to lists at every depth, as a trip through JSON does."""
     return [_listify(item) if item.__class__ is tuple else item for item in value]
+
+
+def canonical_json(payload: object) -> str:
+    """The one JSON encoding stores compare by: sorted keys, no spaces."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -187,14 +197,23 @@ class ScenarioSpec:
     # -- identity --------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready representation: tuples become lists at every depth, so
-        the dict equals its own JSON round trip (the caches compare the two)."""
-        out: Dict[str, object] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value.__class__ is tuple:
-                value = _listify(value)
-            out[f.name] = value
-        return out
+        the dict equals its own JSON round trip."""
+        return {
+            name: _listify(value) if value.__class__ is tuple else value
+            for name, value in zip(_SPEC_FIELDS, _spec_values(self))
+        }
+
+    @cached_property
+    def canonical_text(self) -> str:
+        """The spec as canonical JSON, computed once per spec object.
+
+        The one identity text: :meth:`cache_key` hashes it and the store's
+        ``spec`` column holds it, so a lookup compares two strings.  Not a
+        dataclass field — it joins neither ``==``, ``hash`` nor
+        :meth:`to_dict` — and independent of the package version, which
+        :meth:`cache_key` reads on every call.
+        """
+        return canonical_json(self.to_dict())
 
     def cache_key(self) -> str:
         """Stable content digest of the spec + package/schema version.
@@ -205,10 +224,7 @@ class ScenarioSpec:
         """
         from .. import __version__
 
-        payload = self.to_dict()
-        payload["__version__"] = __version__
-        payload["__schema__"] = SCHEMA_VERSION
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        blob = f"{__version__}\n{SCHEMA_VERSION}\n{self.canonical_text}"
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def label(self) -> str:
@@ -218,6 +234,10 @@ class ScenarioSpec:
         if self.topology != "two-tier" or self.workload != "incast":
             extra = f" {self.topology}/{self.workload}"
         return f"{name}{extra} N={self.n_flows} seed={self.seed}"
+
+
+_SPEC_FIELDS = tuple(f.name for f in fields(ScenarioSpec))
+_spec_values = attrgetter(*_SPEC_FIELDS)
 
 
 @dataclass
@@ -259,11 +279,8 @@ class PointResult:
 
     @property
     def fct_p99_ms(self) -> float:
-        """99th-percentile round completion time (nearest-rank).
-
-        Falls back to the mean when per-round durations are unavailable
-        (results decoded from a pre-v3 encoding).
-        """
+        """99th-percentile round completion time (nearest-rank); the mean
+        for a result that completed no round."""
         durations = self.round_durations_ns
         if not durations:
             return self.fct_ms
@@ -313,10 +330,12 @@ class PointResult:
             "timeouts": self.timeouts,
             "rounds": self.rounds,
             "bad_rounds": self.bad_rounds,
-            "flow_stats": [_flowstats_to_dict(fs) for fs in self.flow_stats],
+            "flow_stats": _encode_flows(self.flow_stats),
             "queue_samples_bytes": list(self.queue_samples_bytes),
             "round_durations_ns": list(self.round_durations_ns),
-            "trace_events": [list(e) for e in self.trace_events],
+            "trace_events": dict(
+                zip(TraceRecord._fields, _columns(self.trace_events, len(TraceRecord._fields)))
+            ),
             "bg_throughput_mbps": self.bg_throughput_mbps,
             "events_processed": self.events_processed,
             "wall_time_s": self.wall_time_s,
@@ -324,6 +343,9 @@ class PointResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "PointResult":
+        """Decode :meth:`to_dict`'s payload; a missing key or columns that
+        disagree in length raise (the store counts that as one miss)."""
+        trace_columns = map(data["trace_events"].__getitem__, TraceRecord._fields)
         return cls(
             protocol=data["protocol"],
             n_flows=data["n_flows"],
@@ -333,48 +355,64 @@ class PointResult:
             timeouts=data["timeouts"],
             rounds=data["rounds"],
             bad_rounds=data["bad_rounds"],
-            flow_stats=[_flowstats_from_dict(d) for d in data["flow_stats"]],
+            flow_stats=_decode_flows(data["flow_stats"]),
             queue_samples_bytes=list(data["queue_samples_bytes"]),
-            round_durations_ns=list(data.get("round_durations_ns", [])),
-            trace_events=[TraceRecord(*row) for row in data.get("trace_events", [])],
+            round_durations_ns=list(data["round_durations_ns"]),
+            trace_events=list(starmap(TraceRecord, zip(*trace_columns, strict=True))),
             bg_throughput_mbps=data["bg_throughput_mbps"],
             events_processed=data["events_processed"],
             wall_time_s=data["wall_time_s"],
         )
 
 
-def _flowstats_to_dict(fs: FlowStats) -> Dict[str, object]:
-    return {
-        "flow_id": fs.flow_id,
-        "total_bytes": fs.total_bytes,
-        "start_time_ns": fs.start_time_ns,
-        "completion_time_ns": fs.completion_time_ns,
-        "data_packets_sent": fs.data_packets_sent,
-        "retransmitted_packets": fs.retransmitted_packets,
-        "fast_retransmits": fs.fast_retransmits,
-        "timeouts": [[t, kind.name] for t, kind in fs.timeouts],
-        "acks_received": fs.acks_received,
-        "dupacks_received": fs.dupacks_received,
-        "ece_acks_received": fs.ece_acks_received,
-        "send_snapshots": [[cwnd, ece, count] for (cwnd, ece), count in fs.send_snapshots.items()],
-    }
+# -- columnar flow codec ---------------------------------------------------------
+# ``flow_stats`` is stored as one array per FlowStats field instead of one
+# dict per flow.  The two ragged fields are flattened: ``timeouts_len[i]`` /
+# ``snapshots_len[i]`` say how many consecutive entries of the flat
+# ``timeouts_*`` / ``snapshots_*`` arrays belong to flow ``i``.
+_FLOW_FIELDS = tuple(f.name for f in fields(FlowStats))
+_RAGGED = ("timeouts", "send_snapshots")
+_FLOW_SCALARS = tuple(name for name in _FLOW_FIELDS if name not in _RAGGED)
+_flow_row = attrgetter(*_FLOW_SCALARS, *_RAGGED)
 
 
-def _flowstats_from_dict(data: Mapping[str, object]) -> FlowStats:
-    return FlowStats(
-        flow_id=data["flow_id"],
-        total_bytes=data["total_bytes"],
-        start_time_ns=data["start_time_ns"],
-        completion_time_ns=data["completion_time_ns"],
-        data_packets_sent=data["data_packets_sent"],
-        retransmitted_packets=data["retransmitted_packets"],
-        fast_retransmits=data["fast_retransmits"],
-        timeouts=[(t, TimeoutKind[name]) for t, name in data["timeouts"]],
-        acks_received=data["acks_received"],
-        dupacks_received=data["dupacks_received"],
-        ece_acks_received=data["ece_acks_received"],
-        send_snapshots={(cwnd, ece): count for cwnd, ece, count in data["send_snapshots"]},
+def _columns(rows: Iterable[Sequence[object]], width: int) -> List[list]:
+    """Equal-width rows transposed to ``width`` lists (empty for no rows)."""
+    return list(map(list, zip(*rows))) or [[] for _ in range(width)]
+
+
+def _runs(lengths: Sequence[int], flat: list) -> List[list]:
+    """Cut ``flat`` into consecutive runs, one per entry of ``lengths``."""
+    offsets = [0, *accumulate(lengths)]
+    if offsets[-1] != len(flat) or min(lengths, default=0) < 0:
+        raise ValueError(f"run lengths sum to {offsets[-1]}, not the {len(flat)} entries held")
+    return [flat[a:b] for a, b in pairwise(offsets)]
+
+
+def _encode_flows(flow_stats: Sequence[FlowStats]) -> Dict[str, list]:
+    *scalars, timeouts, snapshots = _columns(map(_flow_row, flow_stats), len(_FLOW_FIELDS))
+    out = dict(zip(_FLOW_SCALARS, scalars))
+    out["timeouts_len"] = list(map(len, timeouts))
+    out["timeouts_ns"], kinds = _columns(chain.from_iterable(timeouts), 2)
+    out["timeouts_kind"] = [kind.name for kind in kinds]
+    out["snapshots_len"] = list(map(len, snapshots))
+    out["snapshots_cwnd"], out["snapshots_ece"] = _columns(chain.from_iterable(snapshots), 2)
+    out["snapshots_count"] = list(chain.from_iterable(map(dict.values, snapshots)))
+    return out
+
+
+def _decode_flows(data: Mapping[str, list]) -> List[FlowStats]:
+    """Rebuild the flows; any inconsistency between columns raises."""
+    columns = {name: data[name] for name in _FLOW_SCALARS}
+    kinds = map(TimeoutKind.__members__.__getitem__, data["timeouts_kind"])
+    columns["timeouts"] = _runs(
+        data["timeouts_len"], list(zip(data["timeouts_ns"], kinds, strict=True))
     )
+    states = zip(data["snapshots_cwnd"], data["snapshots_ece"], strict=True)
+    columns["send_snapshots"] = map(
+        dict, _runs(data["snapshots_len"], list(zip(states, data["snapshots_count"], strict=True)))
+    )
+    return list(starmap(FlowStats, zip(*map(columns.__getitem__, _FLOW_FIELDS), strict=True)))
 
 
 def _apply_faults(sim: Simulator, tree: TwoTierTree, fault_overrides: Overrides) -> None:

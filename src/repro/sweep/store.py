@@ -35,11 +35,12 @@ import sqlite3
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..exec.scenario import PointResult, ScenarioSpec
+from ..exec.scenario import PointResult, ScenarioSpec, canonical_json
 
-#: Bumped whenever the table layout changes; a store carrying a different
-#: format refuses to open rather than silently misreading columns.
-STORE_FORMAT = 1
+#: Bumped whenever the table layout or the stored result encoding changes; a
+#: store carrying a different format refuses to open rather than misreading.
+#: 2: columnar ``flow_stats`` / ``trace_events`` in the ``result`` text.
+STORE_FORMAT = 2
 
 #: The flat analysis columns, in schema order.  ``key`` addresses content;
 #: ``spec``/``result`` carry the lossless canonical JSON; the rest are
@@ -87,11 +88,6 @@ class StoreError(RuntimeError):
     """A store that cannot be used (wrong format, conflicting merge...)."""
 
 
-def canonical_json(payload: object) -> str:
-    """The one JSON encoding stores compare by: sorted keys, no spaces."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _point_row(spec: ScenarioSpec, result: PointResult) -> Tuple[object, ...]:
     # wall_time_s is host metadata, not simulation output (PointResult
     # already excludes it from equality).  It lives only in its own
@@ -113,7 +109,7 @@ def _point_row(spec: ScenarioSpec, result: PointResult) -> Tuple[object, ...]:
         result.bad_rounds,
         result.events_processed,
         result.wall_time_s,
-        canonical_json(spec.to_dict()),
+        spec.canonical_text,
         canonical_json(result_dict),
     )
 
@@ -139,8 +135,11 @@ class SweepStore:
         self._conn.executescript(_SCHEMA)
         fmt = self._conn.execute("SELECT v FROM meta WHERE k='format'").fetchone()
         if fmt is None or fmt[0] != str(STORE_FORMAT):
+            self._conn.close()
             raise StoreError(
-                f"{self.path}: store format {fmt[0] if fmt else '?'} != {STORE_FORMAT}"
+                f"{self.path}: store format {fmt[0] if fmt else '?'} found, this version "
+                f"reads format {STORE_FORMAT}: re-run into a new store, or export this one "
+                "with the repro version that wrote it"
             )
 
     # -- executor cache protocol ----------------------------------------------
@@ -155,13 +154,13 @@ class SweepStore:
                 "SELECT spec, result, wall_time_s FROM points WHERE key=?",
                 (spec.cache_key(),),
             ).fetchone()
-            if row is None or json.loads(row[0]) != spec.to_dict():
+            if row is None or row[0] != spec.canonical_text:
                 raise ValueError("store miss or spec mismatch")
             result = PointResult.from_dict(json.loads(row[1]))
             # The canonical JSON zeroes wall time; rebind the measured
             # value from its column so hits still report their cost.
             result.wall_time_s = row[2]
-        except (sqlite3.Error, ValueError, KeyError, TypeError, AttributeError):
+        except (sqlite3.Error, ValueError, KeyError, IndexError, TypeError, AttributeError):
             self.misses += 1
             return None
         self.hits += 1

@@ -11,9 +11,11 @@ The load-bearing guarantees:
 """
 
 import dataclasses
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exec import (
     CACHE_DIR_ENV,
@@ -27,6 +29,11 @@ from repro.exec import (
     run_scenario,
     using_executor,
 )
+from repro.exec.scenario import canonical_json
+from repro.metrics.flowstats import FlowStats
+from repro.tcp.timeouts import TimeoutKind
+from repro.telemetry import TraceRecord
+
 
 def tiny_spec(protocol="dctcp", n_flows=2, seed=1, **kwargs):
     return ScenarioSpec.create(protocol, n_flows, rounds=1, seed=seed, **kwargs)
@@ -84,13 +91,30 @@ class TestScenarioSpec:
     def test_cache_key_of_a_nested_tuple_spec_is_pinned(self, monkeypatch):
         # to_dict() once left nested tuples as tuples; listifying them must
         # not move any key (JSON writes both the same).  Regenerate the
-        # literal only together with a SCHEMA_VERSION bump.
+        # literal only together with a SCHEMA_VERSION bump.  The patched
+        # version differs from the real one on a module-level spec other
+        # tests have hashed already, so a memoised key would fail here.
         import repro
 
         monkeypatch.setattr(repro, "__version__", "1.4.0")
         assert NESTED_TUPLE_SPEC.cache_key() == (
-            "5b6c2535b13a373292d72fbd505ff5a125cd84b14372a68963d9e658ce8fa1f7"
+            "9e55f158c9937adc3721218937ac5bf6a26b99fcdd851877cebeab20b2eff855"
         )
+
+    def test_cache_key_follows_the_package_version(self, monkeypatch):
+        import repro
+
+        spec = tiny_spec()
+        before = spec.cache_key()
+        monkeypatch.setattr(repro, "__version__", repro.__version__ + ".post1")
+        assert spec.cache_key() != before
+
+    def test_memoised_text_stays_out_of_identity(self):
+        spec = tiny_spec()
+        assert spec.canonical_text == canonical_json(spec.to_dict())
+        assert spec == tiny_spec() and hash(spec) == hash(tiny_spec())
+        assert "canonical_text" not in spec.to_dict()
+        assert dataclasses.replace(spec, seed=2).canonical_text != spec.canonical_text
 
     def test_label_names_the_point(self):
         assert tiny_spec("dctcp+", 40, seed=3).label() == "dctcp+ N=40 seed=3"
@@ -255,6 +279,58 @@ class TestResultCache:
         assert events[-1].cache_write_errors == 0
 
 
+@functools.cache
+def simulated_result():
+    """A real traced, queue-sampled run of the point ``generated_results`` share."""
+    return run_scenario(tiny_spec(sample_queue=True, trace=True))
+
+
+counts = st.integers(0, 2**40)
+generated_flows = st.builds(
+    FlowStats,
+    flow_id=st.integers(0, 3),
+    total_bytes=counts,
+    start_time_ns=st.integers(-1, 2**50),
+    completion_time_ns=st.integers(-1, 2**50),
+    data_packets_sent=counts,
+    retransmitted_packets=counts,
+    fast_retransmits=counts,
+    timeouts=st.lists(st.tuples(counts, st.sampled_from(TimeoutKind)), max_size=4),
+    acks_received=counts,
+    dupacks_received=counts,
+    ece_acks_received=counts,
+    send_snapshots=st.dictionaries(
+        st.tuples(st.integers(0, 64), st.booleans()), st.integers(1, 10_000), max_size=8
+    ),
+)
+finite = st.floats(-1e9, 1e9)
+generated_records = st.builds(
+    TraceRecord,
+    time_ns=counts,
+    kind=st.sampled_from(["rto", "cwnd", "slow_time"]),
+    subject=st.text(max_size=6),
+    value=st.one_of(counts, finite),
+    detail=st.text(max_size=6),
+)
+generated_results = st.builds(
+    PointResult,
+    protocol=st.just("dctcp"),
+    n_flows=st.just(2),
+    seeds=st.tuples(st.integers(0, 99)),
+    goodput_mbps=finite,
+    fct_ms=finite,
+    timeouts=counts,
+    rounds=counts,
+    bad_rounds=counts,
+    flow_stats=st.lists(generated_flows, max_size=5),
+    queue_samples_bytes=st.lists(counts, max_size=4),
+    round_durations_ns=st.lists(counts, max_size=4),
+    trace_events=st.lists(generated_records, max_size=5),
+    bg_throughput_mbps=st.none() | finite,
+    events_processed=counts,
+)
+
+
 class TestPointResult:
     def test_aggregate_means_and_sums(self):
         a, b = SerialExecutor().map(TINY_BATCH[:2])
@@ -272,10 +348,21 @@ class TestPointResult:
         with pytest.raises(ValueError):
             PointResult.aggregate([a, b])
 
-    def test_json_roundtrip_is_lossless(self):
-        result = run_scenario(tiny_spec(sample_queue=True))
-        roundtrip = PointResult.from_dict(json.loads(json.dumps(result.to_dict())))
-        assert roundtrip == result
+    @settings(deadline=None)  # the first draw of simulated_result runs a simulation
+    @given(
+        st.lists(
+            st.one_of(st.builds(simulated_result), generated_results), min_size=1, max_size=3
+        )
+    )
+    def test_json_roundtrip_is_lossless(self, parts):
+        # Several parts make a multi-seed aggregate, whose flow_ids repeat.
+        result = PointResult.aggregate(parts)
+        text = canonical_json(result.to_dict())
+        decoded = PointResult.from_dict(json.loads(text))
+        assert decoded == result
+        # The store's "equal content => equal bytes" contract: dict equality
+        # ignores send_snapshots insertion order, the re-encoded text does not.
+        assert canonical_json(decoded.to_dict()) == text
 
 
 class TestExecutorContext:

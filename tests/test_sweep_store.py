@@ -7,11 +7,14 @@ or sharded runs of the same points agree on ``content_digest()`` and
 export byte-identical canonical snapshots.
 """
 
+import json
 import sqlite3
 
 import pytest
 
-from repro.exec import ScenarioSpec, SerialExecutor
+from repro.exec import PointResult, ScenarioSpec, SerialExecutor
+from repro.__main__ import main as umbrella_main
+from repro.exec.scenario import canonical_json
 from repro.sweep import COLUMNS, StoreError, SweepStore
 
 
@@ -34,6 +37,25 @@ NESTED_TUPLE_SPEC = tiny_spec(topology="dumbbell", topo={"leg_delays_ns": (6000,
 def computed():
     """The batch's results, computed once for the whole module."""
     return list(zip(BATCH, SerialExecutor().map(BATCH)))
+
+
+# Ways to corrupt a stored result's columnar ``flow_stats`` (each must be one miss).
+def short_scalar_column(flows):
+    flows["acks_received"].pop()
+
+
+def run_lengths_do_not_add_up(flows):
+    flows["snapshots_len"][0] += 1
+
+
+def unknown_timeout_kind(flows):
+    flows["timeouts_len"][0] = 1
+    flows["timeouts_ns"].append(5)
+    flows["timeouts_kind"].append("NoSuchKind")
+
+
+def missing_column(flows):
+    del flows["flow_id"]
 
 
 class TestCacheProtocol:
@@ -84,6 +106,24 @@ class TestCacheProtocol:
             assert store.get(spec) is None
             assert store.misses == 1
 
+    @pytest.mark.parametrize(
+        "damage",
+        [short_scalar_column, run_lengths_do_not_add_up, unknown_timeout_kind, missing_column],
+        ids=lambda damage: damage.__name__,
+    )
+    def test_corrupt_result_columns_are_a_miss(self, tmp_path, computed, damage):
+        spec, result = computed[0]
+        payload = result.to_dict()
+        damage(payload["flow_stats"])
+        with SweepStore(tmp_path / "s.sqlite") as store:
+            store.put(spec, result)
+            store._conn.execute(
+                "UPDATE points SET result=? WHERE key=?",
+                (canonical_json(payload), spec.cache_key()),
+            )
+            assert store.get(spec) is None
+            assert (store.hits, store.misses) == (0, 1)
+
     def test_put_counts_write_errors_instead_of_raising(self, tmp_path, computed):
         spec, result = computed[0]
         store = SweepStore(tmp_path / "s.sqlite")
@@ -110,6 +150,25 @@ class TestCacheProtocol:
         conn.close()
         with pytest.raises(StoreError, match="format"):
             SweepStore(path)
+
+    def test_format_1_store_fails_loudly_and_typed(self, tmp_path, capsys):
+        path = tmp_path / "old.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            "CREATE TABLE points (key TEXT PRIMARY KEY, spec TEXT, result TEXT);"
+            "CREATE TABLE meta (k TEXT PRIMARY KEY, v TEXT NOT NULL);"
+            "INSERT INTO meta VALUES ('format', '1');"
+        )
+        conn.commit()
+        conn.close()
+        with pytest.raises(StoreError) as raised:
+            SweepStore(path)
+        message = str(raised.value)
+        for part in (str(path), "format 1 found", "reads format 2", "re-run", "export"):
+            assert part in message
+        # The CLI turns it into that one line and a non-zero exit, not a traceback.
+        assert umbrella_main(["sweep", "status", "--store", str(path)]) != 0
+        assert capsys.readouterr().err.splitlines() == [f"repro-sweep: {message}"]
 
 
 class TestContentIdentity:
@@ -184,6 +243,19 @@ class TestColumnarReads:
             decoded = {key: result for key, _, result in store.iter_points()}
         for spec, result in computed:
             assert decoded[spec.cache_key()] == result
+
+    def test_export_jsonl_lines_decode(self, tmp_path, computed):
+        with SweepStore(tmp_path / "s.sqlite") as store:
+            for spec, result in computed:
+                store.put(spec, result)
+            assert store.export_jsonl(tmp_path / "points.jsonl") == len(computed)
+        by_key = {spec.cache_key(): (spec, result) for spec, result in computed}
+        for line in (tmp_path / "points.jsonl").read_text().splitlines():
+            point = json.loads(line)
+            spec, result = by_key.pop(point["key"])
+            assert point["spec"] == spec.to_dict()
+            assert PointResult.from_dict(point["result"]) == result
+        assert not by_key
 
 
 class TestMerge:
