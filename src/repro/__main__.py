@@ -30,6 +30,8 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
+from .sweep.store import StoreError
+
 USAGE = """\
 usage: python -m repro [--workers N] [--cache-dir PATH] [--validate] [--seed N]
                        {experiments,fuzz,trace,sweep} [args...]
@@ -136,7 +138,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         from .telemetry.cli import main as run
 
-    return run(tail)
+    try:
+        return run(tail)
+    except StoreError as exc:
+        # Any command may open a store (--cache-dir); one that cannot be
+        # used (an old format, say) is one line and exit 2, not a traceback.
+        print(f"python -m repro {command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,6 +18,12 @@ into a sender factory.  This module re-exports all of them (the classes
   protocol string ("dctcp+", "tcp", ...) to a sender factory plus its
   default config pair; what scenario specs and workloads consume.
 
+Both config dataclasses are **frozen**: the senders of a workload all read
+the same two objects (4096 flows, one :class:`TcpConfig`), so a field is
+never assigned after construction.  ``with_overrides`` derives a validated
+variant and is memoised per object, which is how the per-sender rules
+below resolve to one shared config per protocol rather than a copy each.
+
 Overlap rule (``min_cwnd_mss``): both dataclasses carry a cwnd-floor
 field.  The transport-level :attr:`TcpConfig.min_cwnd_mss` (default 2,
 Eq. (2)'s ``W >= 2``) is what the sender enforces; DCTCP+'s

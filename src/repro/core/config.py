@@ -1,13 +1,21 @@
-"""DCTCP+ configuration (paper Section V.C/V.D parameter guidance)."""
+"""DCTCP+ configuration (paper Section V.C/V.D parameter guidance).
+
+:class:`DctcpPlusConfig` is frozen: one object is shared by every sender
+of a workload, so a field assigned through one sender would silently
+change all the others — derive a variant with
+:meth:`DctcpPlusConfig.with_overrides` instead.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Dict
 
 from ..sim.units import US
 
 
-@dataclass
+@dataclass(frozen=True)
 class DctcpPlusConfig:
     """Knobs of the slow_time regulation law (Algorithm 1).
 
@@ -83,5 +91,18 @@ class DctcpPlusConfig:
         if self.min_cwnd_mss <= 0:
             raise ValueError("cwnd floor must be positive")
 
+    @cached_property
+    def _derived(self) -> Dict[tuple, "DctcpPlusConfig"]:
+        """Copies :meth:`with_overrides` has already made of this object.
+        Not a field: outside ``==``, ``hash``, ``repr`` and ``replace``."""
+        return {}
+
     def with_overrides(self, **kwargs) -> "DctcpPlusConfig":
-        return replace(self, **kwargs)
+        """Return a copy with the given fields replaced, memoised per object
+        (the same overrides asked of the same config return the same copy)."""
+        memo = self._derived
+        key = tuple(kwargs.items())
+        derived = memo.get(key)
+        if derived is None:
+            derived = memo[key] = replace(self, **kwargs)
+        return derived

@@ -23,6 +23,7 @@ footnote 3) and overrides the transport's.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from ..metrics.flowstats import FlowStats
@@ -64,9 +65,11 @@ class SlowTimeMixin:
             min_cwnd_mss=self.plus_config.min_cwnd_mss, ecn_enabled=self.ecn
         )
         super().__init__(sim, host, dst_node_id, flow_id, config, stats, on_complete)
-        self.machine = SlowTimeStateMachine(
-            self.plus_config, sim.stream(f"{self.stream_label}/{sim.next_sequence()}")
-        )
+        self.machine = SlowTimeStateMachine(self.plus_config)
+        # The stream's name is fixed here, by construction order; the
+        # generator (2.5 KiB of Mersenne state) is opened by the machine's
+        # first draw, which a flow that never parks at the floor never makes.
+        self.machine.rng_source = partial(sim.stream, f"{self.stream_label}/{sim.next_sequence()}")
         if self.plus_config.backoff_unit_mode == "srtt":
             self.machine.unit_source = self._srtt_unit
         self.pacer = SlowTimePacer(self.machine)

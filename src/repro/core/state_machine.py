@@ -41,6 +41,7 @@ class SlowTimeStateMachine:
         "transitions_to_normal",
         "peak_slow_time_ns",
         "_last_decay_ns",
+        "rng_source",
         "unit_source",
         "observer",
         "on_update",
@@ -48,7 +49,13 @@ class SlowTimeStateMachine:
 
     def __init__(self, config: DctcpPlusConfig, rng: Optional[random.Random] = None):
         self.config = config
-        self.rng = rng or random.Random(0)
+        #: the backoff stream; ``None`` until the first randomized draw
+        #: opens it (most flows of a massive incast never draw).
+        self.rng = rng
+        #: optional callable opening that stream; installed by the sender,
+        #: which fixed the stream's name when it was built.  Without one
+        #: (and without ``rng``) the machine draws from ``Random(0)``.
+        self.rng_source = None
         self.state = DctcpPlusState.NORMAL
         self.slow_time_ns = 0
         self.transitions_to_inc = 0
@@ -82,7 +89,11 @@ class SlowTimeStateMachine:
         unit for the "partial DCTCP+" ablation (Fig. 6)."""
         unit = self._current_unit()
         if self.config.randomize:
-            return uniform_time(self.rng, unit)
+            rng = self.rng
+            if rng is None:
+                source = self.rng_source
+                rng = self.rng = source() if source is not None else random.Random(0)
+            return uniform_time(rng, unit)
         return unit
 
     # -- inputs ------------------------------------------------------------------

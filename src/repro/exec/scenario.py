@@ -16,6 +16,7 @@ the aggregates, the per-flow statistics and wall-clock/event telemetry.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import time
@@ -475,8 +476,34 @@ def run_scenario(
     ``PointResult.trace_events``; ``profiler`` accepts a
     :class:`~repro.telemetry.EngineProfiler` for dispatch-loop timing
     (local to this call — not part of the spec, so never cached).
+
+    The whole point is one GC epoch (DESIGN.md "One GC epoch per point"):
+    automatic collection is paused from before the simulator exists until
+    the result does, then one young collection frees the dead topology.
+    A caller that has already disabled the collector is left alone.
     """
     started = time.perf_counter()
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
+    try:
+        result = _simulate(spec, validate, profiler)
+    finally:
+        if gc_was_enabled:
+            # _simulate's locals are gone and nothing was promoted while the
+            # collector was off, so generation 0 holds all of the point's
+            # cyclic garbage (the topology; flows went by refcount at close).
+            # Not optional: without it the garbage waits for the collections
+            # the *next* point's construction triggers, and peak RSS rises.
+            gc.collect(0)
+            gc.enable()
+    result.wall_time_s = time.perf_counter() - started
+    return result
+
+
+def _simulate(spec: ScenarioSpec, validate: Optional[bool], profiler) -> PointResult:
+    """:func:`run_scenario`'s body, in a frame of its own so that every
+    simulation object is unreferenced by the time it returns."""
     tracer = Tracer() if spec.trace else None
     sim = Simulator(seed=spec.seed, validate=validate, tracer=tracer, profiler=profiler)
     events_before = sim.events_processed
@@ -523,6 +550,10 @@ def run_scenario(
     for i, fs in enumerate(flow_stats):
         fs.flow_id = i
     workload.close()
+    # Closed endpoints hold no callbacks and no host holds them; whatever the
+    # queue still files (light events in flight, cancelled timer carcasses,
+    # the event freelist) is the last thing that could keep a flow alive.
+    sim.queue.clear()
 
     return PointResult(
         protocol=spec.protocol,
@@ -539,5 +570,4 @@ def run_scenario(
         trace_events=list(tracer.records) if tracer is not None else [],
         bg_throughput_mbps=bg_throughput_mbps,
         events_processed=sim.events_processed - events_before,
-        wall_time_s=time.perf_counter() - started,
     )

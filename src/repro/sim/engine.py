@@ -32,6 +32,9 @@ Automatic garbage collection is paused while :meth:`run` pumps events
 nothing cyclic — events and packets are recycled through freelists, and
 acyclic temporaries die by refcount — so the collector's periodic
 traversals were pure overhead (~10% of runtime at the default thresholds).
+:func:`repro.exec.scenario.run_scenario` widens the same pause to the whole
+point (construction included) and ends it with one young collection; this
+one then finds the collector already off and leaves it alone.
 """
 
 from __future__ import annotations

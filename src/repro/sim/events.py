@@ -227,7 +227,10 @@ class EventQueue:
         return None
 
     def clear(self) -> None:
-        """Drop all events."""
+        """Drop all events, including the light ones an attached native
+        core files in its own heap (the sequence counter keeps running)."""
         self._heap.clear()
         self._free.clear()
         self._live = 0
+        if self._core is not None:
+            self._core.clear()

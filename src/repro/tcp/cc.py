@@ -39,12 +39,15 @@ from dataclasses import dataclass
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
+# The config modules import nothing but units, and no sender module imports
+# this one, so these two sit at module scope (build() runs once per flow).
+from ..core.config import DctcpPlusConfig
+from .config import TcpConfig
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.config import DctcpPlusConfig
     from ..net.host import Host
     from ..net.topology import TwoTierTree
     from ..sim.engine import Simulator
-    from .config import TcpConfig
     from .sender import TcpSender
 
 #: factory(sim, host, dst_node_id, flow_id, tcp_config, plus_config,
@@ -102,9 +105,6 @@ class CongestionControl:
         deadline_ns: Optional[int] = None,
     ) -> "TcpSender":
         """Instantiate the sender endpoint for this strategy."""
-        from ..core.config import DctcpPlusConfig
-        from .config import TcpConfig
-
         return self.factory(
             sim,
             host,

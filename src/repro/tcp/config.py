@@ -7,17 +7,23 @@ Defaults mirror the paper's testbed (Linux 2.6.38-era stack, GbE):
   (the kernel's ``W ∈ [2, rwnd]`` in Eq. (2)); cwnd 1 MSS after a timeout.
 - RTO per RFC 6298 with ``RTO_min`` 200 ms (the paper also evaluates 10 ms).
 - DCTCP: g = 1/16, one window reduction per RTT of marked feedback.
+
+:class:`TcpConfig` is frozen: every sender of a workload reads the *same*
+config object (a 4096-flow point holds one, not 4096 copies), so nothing
+may assign to a field after construction — derive a variant with
+:meth:`TcpConfig.with_overrides`, which validates it like any other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from functools import cached_property
+from typing import Dict, Optional
 
 from ..sim.units import MS, SEC
 
 
-@dataclass
+@dataclass(frozen=True)
 class TcpConfig:
     """Tunables for :class:`repro.tcp.sender.TcpSender` and subclasses."""
 
@@ -96,6 +102,22 @@ class TcpConfig:
     def init_ssthresh_bytes(self) -> float:
         return self.init_ssthresh_mss * self.mss
 
+    @cached_property
+    def _derived(self) -> Dict[tuple, "TcpConfig"]:
+        """Copies :meth:`with_overrides` has already made of this object.
+        Not a field: outside ``==``, ``hash``, ``repr`` and ``replace``."""
+        return {}
+
     def with_overrides(self, **kwargs) -> "TcpConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
+        """Return a copy with the given fields replaced.
+
+        Memoised per object: asking the same config for the same overrides
+        returns the same (frozen) copy, so the per-sender rules that force
+        ECN or the cwnd floor resolve to one object per protocol.
+        """
+        memo = self._derived
+        key = tuple(kwargs.items())
+        derived = memo.get(key)
+        if derived is None:
+            derived = memo[key] = replace(self, **kwargs)
+        return derived

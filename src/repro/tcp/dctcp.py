@@ -53,11 +53,8 @@ class DctcpSender(TcpSender):
     ):
         config = (config or TcpConfig()).with_overrides(ecn_enabled=True)
         super().__init__(sim, host, dst_node_id, flow_id, config, stats, on_complete)
+        # The window-of-data accumulators start at the ledger slot's zero.
         self.alpha = config.dctcp_alpha_init
-        self._win_end_seq = 0
-        self._win_bytes_acked = 0
-        self._win_bytes_marked = 0
-        self._win_saw_ece = False
         #: number of times Eq. (2) was applied (instrumentation)
         self.ecn_reductions = 0
         #: number of times Eq. (2) wanted to reduce but cwnd was already at

@@ -75,12 +75,13 @@ class FlowLedger:
             flows = sim.flows = cls()
         return flows
 
-    def register(self) -> int:
-        """Claim a fresh slot (one per endpoint), zero-initialized."""
+    def register(self, cwnd: float = 0.0, ssthresh: float = 0.0) -> int:
+        """Claim a fresh slot (one per endpoint): a sender's opening window
+        and threshold, every other counter zero."""
         slot = self.slots
         self.slots = slot + 1
-        self.cwnd.append(0.0)
-        self.ssthresh.append(0.0)
+        self.cwnd.append(cwnd)
+        self.ssthresh.append(ssthresh)
         self.snd_una.append(0)
         self.snd_nxt.append(0)
         self.dupacks.append(0)

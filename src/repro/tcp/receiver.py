@@ -232,3 +232,8 @@ class TcpReceiver:
         if not self.closed:
             self.host.unregister_flow(self.flow_id)
             self.closed = True
+            # No packet reaches a detached receiver, so neither callback
+            # can fire again; dropping them (bound methods of the workload
+            # that lists this receiver) leaves it to reference counting.
+            self.on_data = None
+            self.on_complete = None

@@ -86,11 +86,13 @@ class TcpSender:
         self.config = config or TcpConfig()
         cfg = self.config
 
-        # Ledger slot first: every counter assignment below routes through
-        # the compatibility properties into the columns.
+        # The ledger slot opens with this sender's window; every other
+        # per-segment counter (snd_una, snd_nxt, dupacks, the CA byte
+        # accumulator — the kernel's snd_cwnd_cnt — and DCTCP's
+        # window-of-data sums) starts at the slot's zero.
         fl = FlowLedger.of(sim)
         self._fl = fl
-        self._slot = fl.register()
+        self._slot = fl.register(cfg.init_cwnd_bytes, cfg.init_ssthresh_bytes)
         self._pool = PacketPool.of(sim)
         # Transmit binding: straight to the NIC port's send when the
         # access link is already attached (skips Host.send's None check
@@ -101,14 +103,8 @@ class TcpSender:
         self._src_id = host.node_id
 
         self.total_bytes = 0
-        self.snd_una = 0
-        self.snd_nxt = 0
-        self.cwnd = cfg.init_cwnd_bytes
-        self.ssthresh = cfg.init_ssthresh_bytes
-        self.dupacks = 0
         self.in_fast_recovery = False
         self.recover = 0
-        self._ca_bytes_acked = 0.0  # Linux-style snd_cwnd_cnt analogue
 
         self.rtt = RttEstimator(cfg.rto_min_ns, cfg.rto_max_ns, cfg.rto_initial_ns, cfg.seed_rtt_ns)
         self.rto_backoff = 0
@@ -190,6 +186,10 @@ class TcpSender:
         self.sim.cancel(self._pending_send_event)
         self._pending_send_event = None
         self.host.unregister_flow(self.flow_id)
+        # A closed sender completes nothing more; dropping the callback
+        # (usually a bound method of the workload that lists this sender)
+        # leaves no cycle, so the flow is freed by reference counting.
+        self.on_complete = None
 
     # -------------------------------------------------------------- convenience
     def _quantize_down(self, cwnd_bytes: float, floor_bytes: float) -> float:

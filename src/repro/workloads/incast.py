@@ -123,27 +123,32 @@ class IncastWorkload(ClosedLoopWorkload):
 
     # -- construction ----------------------------------------------------------
     def _build_flows(self) -> None:
-        cfg = self.config
         sim = self.sim
-        tree = self.tree
-        for i in range(cfg.n_flows):
-            server = tree.servers[i % len(tree.servers)]
+        servers = self.tree.servers
+        n_servers = len(servers)
+        aggregator = self.tree.aggregator
+        aggregator_id = aggregator.node_id
+        pool = PacketPool.of(sim)
+        make_sender = self.spec.make_sender
+        on_flow_complete = self._on_flow_complete  # one bound method, not one per flow
+        for i in range(self.config.n_flows):
+            server = servers[i % n_servers]
             flow_id = next_flow_id()
             ctrl_id = next_flow_id()
 
             receiver = TcpReceiver(
                 sim,
-                tree.aggregator,
+                aggregator,
                 server.node_id,
                 flow_id,
                 expected_bytes=0,
-                on_complete=self._on_flow_complete,
+                on_complete=on_flow_complete,
             )
-            sender = self.spec.make_sender(sim, server, tree.aggregator.node_id, flow_id)
+            sender = make_sender(sim, server, aggregator_id, flow_id)
             self.senders.append(sender)
             self.receivers.append(receiver)
 
-            listener = _RequestListener(self._make_starter(sender), PacketPool.of(sim))
+            listener = _RequestListener(self._make_starter(sender), pool)
             server.register_flow(ctrl_id, listener)
             self._ctrl.append((server, ctrl_id))
 

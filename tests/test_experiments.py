@@ -236,7 +236,7 @@ class TestPaperShapes:
     @pytest.mark.xfail(
         strict=True,
         reason="paper Fig. 7: DCTCP+ FCT stays in the tens of ms; at N=120 seed 1 we "
-        "read 107 ms (131.8 / 58.1 for seeds 2 / 3) — ROADMAP item 4, fidelity",
+        "read 107 ms (131.8 / 58.1 for seeds 2 / 3) — ROADMAP item 1, fidelity",
     )
     def test_fig7_dctcp_plus_fct_below_100ms(self, fig7_rows):
         assert fig7_rows[120][4] < 100
@@ -257,7 +257,7 @@ class TestPaperShapes:
         strict=True,
         reason="paper Fig. 8: DCTCP+ (200 ms RTO) beats DCTCP/TCP at 10 ms RTO; at N=120 "
         "we read 492.2 / 376.8 / 707.5 Mbps for seeds 1 / 2 / 3 against a "
-        "seed-independent 563.8 / 564.4 — ROADMAP item 4, fidelity",
+        "seed-independent 563.8 / 564.4 — ROADMAP item 1, fidelity",
     )
     def test_fig8_dctcp_plus_beats_10ms_rto(self, fig8_row):
         _, plus, dctcp10, tcp10 = fig8_row

@@ -196,6 +196,22 @@ class TestSemanticsParity:
         sim.run()
         assert seen == ["direct", "light", "regular"]
 
+    def test_queue_clear_drops_every_pending_event(self, sim):
+        # Light events live in the native core's own heap, not the queue's.
+        seen = []
+        sim.schedule_light(10, seen.append, "light")
+        sim.schedule(20, seen.append, "regular")
+        sim.cancel(sim.schedule(5, seen.append, "cancelled"))
+        sim.queue.clear()
+        assert len(sim.queue) == 0
+        assert sim.run() == 0 and seen == []
+        # The sequence stream survives a clear: later events still tie-break FIFO.
+        sim.schedule(7, seen.append, "r0")
+        sim.schedule_light(7, seen.append, "l1")
+        sim.schedule(7, seen.append, "r2")
+        assert sim.run() == 3
+        assert seen == ["r0", "l1", "r2"]
+
 
 class _Owner:
     """Stands in for a port: holds the simulator, is held by a pending callback."""

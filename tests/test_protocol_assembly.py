@@ -90,7 +90,11 @@ def test_machine_stream_names_are_unchanged():
     for cls in (DctcpPlusSender, RenoPlusSender, D2tcpPlusSender):
         sim = Recording()
         tree = build_star(sim, n_senders=1)
-        cls(sim, tree.servers[0], tree.aggregator.node_id, next_flow_id())
+        sender = cls(sim, tree.servers[0], tree.aggregator.node_id, next_flow_id())
+        # The name is fixed at construction; the stream opens on the first
+        # draw (taken at the floor, where the checker allows the transition).
+        sender.cwnd = sender.config.min_cwnd_bytes
+        sender.machine.on_congestion_event()
     assert [name.split("/")[0] for name in drawn] == ["dctcp+", "tcp+", "dctcp+"]
     assert all(name.split("/")[1].isdigit() for name in drawn)
 

@@ -151,8 +151,8 @@ class TestCacheProtocol:
         with pytest.raises(StoreError, match="format"):
             SweepStore(path)
 
-    def test_format_1_store_fails_loudly_and_typed(self, tmp_path, capsys):
-        path = tmp_path / "old.sqlite"
+    def test_format_1_store_fails_loudly_and_typed(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "results.sqlite"
         conn = sqlite3.connect(path)
         conn.executescript(
             "CREATE TABLE points (key TEXT PRIMARY KEY, spec TEXT, result TEXT);"
@@ -169,6 +169,15 @@ class TestCacheProtocol:
         # The CLI turns it into that one line and a non-zero exit, not a traceback.
         assert umbrella_main(["sweep", "status", "--store", str(path)]) != 0
         assert capsys.readouterr().err.splitlines() == [f"repro-sweep: {message}"]
+        # So do the two commands that meet it as their --cache-dir store.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))  # restored after the test
+        for command, tail in (
+            ("experiments", ["table1", "--rounds", "1", "--seeds", "1", "--n-values", "4"]),
+            ("trace", ["--quick"]),
+        ):
+            assert umbrella_main(["--cache-dir", str(tmp_path), command, *tail]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [f"python -m repro {command}: {message}"]
 
 
 class TestContentIdentity:

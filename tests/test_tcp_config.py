@@ -1,8 +1,13 @@
-"""Tests for TcpConfig validation and derived values."""
+"""Tests for TcpConfig validation, derived values and the ``with_overrides``
+memo (which both config classes carry)."""
+
+import dataclasses
 
 import pytest
 
+from repro.core.config import DctcpPlusConfig
 from repro.tcp.config import TcpConfig
+from repro.workloads.protocols import spec_for
 
 
 class TestValidation:
@@ -51,3 +56,44 @@ class TestDerived:
     def test_with_overrides_validates(self):
         with pytest.raises(ValueError):
             TcpConfig().with_overrides(mss=-5)
+
+
+@pytest.mark.parametrize(
+    "cls,good,bad",
+    [
+        (TcpConfig, {"min_cwnd_mss": 1.0, "ecn_enabled": True}, {"min_cwnd_mss": 0}),
+        (DctcpPlusConfig, {"randomize": False}, {"divisor_factor": 1.0}),
+    ],
+)
+class TestOverridesMemo:
+    """``with_overrides`` is memoised per object; the memo is not identity."""
+
+    def test_same_overrides_return_the_same_copy(self, cls, good, bad):
+        cfg = cls()
+        derived = cfg.with_overrides(**good)
+        assert derived is cfg.with_overrides(**good) is not cfg
+        assert derived == cls(**good)
+        assert cfg.with_overrides() is not derived  # another key, another copy
+        assert cfg.with_overrides() == cfg
+
+    def test_memo_stays_out_of_identity(self, cls, good, bad):
+        served, fresh = cls(), cls()
+        served.with_overrides(**good)
+        assert served == fresh and hash(served) == hash(fresh)
+        assert repr(served) == repr(fresh)
+        assert dataclasses.asdict(served) == dataclasses.asdict(fresh)
+        assert not dataclasses.replace(served)._derived  # a copy starts its own memo
+
+    def test_failed_override_raises_every_time_and_caches_nothing(self, cls, good, bad):
+        cfg = cls()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                cfg.with_overrides(**bad)
+        assert not cfg._derived
+
+
+def test_spec_for_resolves_to_the_same_values_as_before_the_memo():
+    assert spec_for("dctcp+norand").plus_config == DctcpPlusConfig(randomize=False)
+    floor = spec_for("dctcp+", tcp_overrides={"min_cwnd_mss": 2.0, "rto_min_ns": 10_000_000})
+    assert floor.tcp_config == TcpConfig(min_cwnd_mss=2.0, rto_min_ns=10_000_000)
+    assert floor.plus_config == DctcpPlusConfig(min_cwnd_mss=2.0)
