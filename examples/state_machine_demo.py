@@ -21,7 +21,6 @@ def main() -> None:
         backoff_time_unit_ns=100 * US,
         divisor_factor=2.0,
         threshold_t_ns=25 * US,
-        decay_interval_mode="fixed",
         decay_interval_ns=0,  # decay on every clean ACK, for readability
     )
     machine = SlowTimeStateMachine(config, random.Random(2015))

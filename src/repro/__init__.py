@@ -23,10 +23,9 @@ The package layers:
   typed :class:`CCEvent` protocol (``cc="external:<policy>"``)
 - :mod:`repro.experiments` — one driver per paper table/figure
 
-:mod:`repro.config` gathers the protocol configuration surfaces
-(:class:`TcpConfig`, :class:`DctcpPlusConfig`, :class:`ProtocolSpec`)
-into one documented namespace; the classes are the same objects as the
-originals, so existing import paths keep working.
+Protocol configuration is :class:`TcpConfig` (transport knobs, including
+the cwnd floor), :class:`DctcpPlusConfig` (the slow_time law) and the
+:class:`ProtocolSpec` that :func:`spec_for` builds from a strategy name.
 
 Quickstart::
 
@@ -108,10 +107,9 @@ from .workloads import (
     SwarmWorkload,
     spec_for,
 )
-from . import config
 from .experiments.common import run_incast_batch
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "Simulator",
@@ -181,6 +179,5 @@ __all__ = [
     "Collector",
     "PeriodicCollector",
     "EngineProfiler",
-    "config",
     "__version__",
 ]

@@ -120,9 +120,8 @@ class EnvBridgePolicy(ExternalPolicy):
         self._env = env
         self.flow = flow
         self.inner = inner
-        # Shadow the class attrs so ExternalPolicySender applies the same
-        # config overrides (cwnd floor) the inner policy would get alone.
-        self.slow_time = inner is not None and inner.slow_time
+        # Shadow the class attr so make_external_sender builds the host
+        # the inner policy would get alone.
         self.deadline_aware = inner is not None and inner.deadline_aware
         self.assembler = ObservationAssembler()
         self.sender: Optional[ExternalPolicySender] = None

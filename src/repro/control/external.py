@@ -7,13 +7,13 @@ whose four CC event methods forward to a bound
 the transport machinery (ledger slot, retransmission, DCTCP marked-byte
 bookkeeping); the policy owns the decisions.
 
-Construction mirrors the builtin plus-family senders: when the policy
-declares ``slow_time``, the plus config's cwnd floor overrides the
-transport's *before* the base ``__init__`` runs (so ``min_cwnd_bytes``
-is resolved identically to :class:`~repro.core.dctcp_plus.DctcpPlusSender`),
-and ``policy.bind`` runs *after* it — the program point where builtin
-subclasses create their per-flow machinery, which keeps any RNG stream
-draws at identical ``next_sequence`` offsets.
+Construction mirrors the builtin plus-family senders: the cwnd floor is
+the transport config's, resolved by
+:func:`~repro.workloads.protocols.spec_for` from the strategy's
+``slow_time`` flag (as for :class:`~repro.core.dctcp_plus.DctcpPlusSender`),
+and ``policy.bind`` runs *after* the base ``__init__`` — the program
+point where builtin subclasses create their per-flow machinery, which
+keeps any RNG stream draws at identical ``next_sequence`` offsets.
 
 :func:`make_external_sender` gives ``deadline_aware`` policies the
 :class:`DeadlineExternalPolicySender` host (D2TCP's deadline mixin on
@@ -53,9 +53,6 @@ class ExternalPolicySender(DctcpSender):
     ):
         self.policy = policy
         self.plus_config = plus_config or DctcpPlusConfig()
-        config = config or TcpConfig()
-        if policy.slow_time:
-            config = config.with_overrides(min_cwnd_mss=self.plus_config.min_cwnd_mss)
         super().__init__(sim, host, dst_node_id, flow_id, config, stats, on_complete)
         policy.bind(self)
 

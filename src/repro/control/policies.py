@@ -60,7 +60,8 @@ class ExternalPolicy:
     label = "External"
     #: External policies ride the DCTCP transport, so ECN stays on.
     ecn = True
-    #: Whether the slow_time cwnd floor applies (mirrors the registry flag).
+    #: Whether the policy runs the slow_time law; becomes the registry
+    #: flag, from which ``spec_for`` resolves the 1 MSS cwnd floor.
     slow_time = False
     #: Whether the policy consumes per-flow deadlines.
     deadline_aware = False

@@ -32,6 +32,10 @@ class DctcpPlusConfig:
     - ``threshold_T``: unspecified in the paper; we default to a quarter of
       the backoff unit so a congestion-free flow exits through TIME_DES in
       a couple of ACKs (see DESIGN.md §6).
+
+    The cwnd floor (1 MSS, paper footnote 3) is a transport knob of
+    :class:`repro.tcp.config.TcpConfig`, resolved by
+    :func:`repro.workloads.protocols.spec_for`.
     """
 
     backoff_time_unit_ns: int = 100 * US
@@ -39,13 +43,12 @@ class DctcpPlusConfig:
     #: use the baseline RTT as the backoff time unit"; in a kernel the
     #: available quantity is the connection's smoothed RTT estimate, which
     #: equals the baseline RTT on an idle path and inflates with queueing
-    #: delay under fan-in congestion.  ``"srtt"`` (default) draws each
-    #: increment from U(0, max(srtt, backoff_time_unit_ns)) — self-scaling:
-    #: small nudges at low fan-in, ms-scale backoff when hundreds of flows
-    #: inflate the RTT.  ``"fixed"`` always uses ``backoff_time_unit_ns``
-    #: (the paper's recommendation: one *baseline* RTT), and is the default
-    #: — srtt-scaled increments overshoot and oscillate in our calibration
-    #: runs (see EXPERIMENTS.md).
+    #: delay under fan-in congestion.  ``"fixed"`` (the default, and the
+    #: paper's recommendation) always uses ``backoff_time_unit_ns``.
+    #: ``"srtt"`` draws each increment from U(0, max(srtt,
+    #: backoff_time_unit_ns)) — small nudges at low fan-in, ms-scale
+    #: backoff when hundreds of flows inflate the RTT; it has fewer bad
+    #: rounds but lower goodput in EXPERIMENTS.md's 8-seed scan.
     backoff_unit_mode: str = "fixed"
     divisor_factor: float = 2.0
     threshold_t_ns: int = 25 * US
@@ -53,17 +56,10 @@ class DctcpPlusConfig:
     #: Minimum spacing between consecutive multiplicative decreases of
     #: slow_time.  Fig. 4 guards the relaxation path with a *time*
     #: threshold "to guarantee the relatively smooth regulation of the
-    #: sending rate"; pacing the decay by roughly one backoff unit keeps a
-    #: burst of clean ACKs (e.g. the drain after a round barrier) from
-    #: collapsing slow_time in a single RTT.  0 decays on every clean ACK.
+    #: sending rate"; pacing the decay by one baseline RTT keeps a burst of
+    #: clean ACKs (e.g. the drain after a round barrier) from collapsing
+    #: slow_time in a single RTT.  0 decays on every clean ACK.
     decay_interval_ns: int = 100 * US
-    #: ``"srtt"`` paces decay at one division per smoothed RTT (the classic
-    #: AIMD cadence — cwnd also halves at most once per RTT); ``"fixed"``
-    #: uses ``decay_interval_ns`` as-is.
-    decay_interval_mode: str = "srtt"
-    #: cwnd floor used by the DCTCP+ experiments (paper footnote 3 lowers
-    #: it to 1 MSS for a smoother rate change).
-    min_cwnd_mss: float = 1.0
 
     def __post_init__(self) -> None:
         if self.backoff_time_unit_ns <= 0:
@@ -84,12 +80,6 @@ class DctcpPlusConfig:
             # >= interval" test vacuously true — silently decaying on every
             # clean ACK instead of flagging the bad config.
             raise ValueError("decay_interval must be non-negative")
-        if self.decay_interval_mode not in ("fixed", "srtt"):
-            raise ValueError(
-                f"decay_interval_mode must be 'fixed' or 'srtt', got {self.decay_interval_mode!r}"
-            )
-        if self.min_cwnd_mss <= 0:
-            raise ValueError("cwnd floor must be positive")
 
     @cached_property
     def _derived(self) -> Dict[tuple, "DctcpPlusConfig"]:

@@ -17,8 +17,10 @@ It adds exactly two things to the base sender:
 2. the :class:`~repro.core.pacer.SlowTimePacer`, gating data departures
    by ``slow_time`` while the machine is out of NORMAL.
 
-The cwnd floor comes from the plus config (default 1 MSS, paper
-footnote 3) and overrides the transport's.
+The cwnd floor is the transport config's, resolved in one place,
+:func:`~repro.workloads.protocols.spec_for` (1 MSS for slow_time
+strategies, paper footnote 3, unless set explicitly).  A sender built
+directly runs whatever floor its :class:`TcpConfig` holds.
 """
 
 from __future__ import annotations
@@ -61,9 +63,7 @@ class SlowTimeMixin:
         on_complete: Optional[Callable[[TcpSender], None]] = None,
     ):
         self.plus_config = plus_config or DctcpPlusConfig()
-        config = (config or TcpConfig()).with_overrides(
-            min_cwnd_mss=self.plus_config.min_cwnd_mss, ecn_enabled=self.ecn
-        )
+        config = (config or TcpConfig()).with_overrides(ecn_enabled=self.ecn)
         super().__init__(sim, host, dst_node_id, flow_id, config, stats, on_complete)
         self.machine = SlowTimeStateMachine(self.plus_config)
         # The stream's name is fixed here, by construction order; the

@@ -127,10 +127,7 @@ class SlowTimeStateMachine:
         cfg = self.config
         if self.state is DctcpPlusState.NORMAL:
             return
-        decay_interval = cfg.decay_interval_ns
-        if cfg.decay_interval_mode == "srtt":
-            decay_interval = max(decay_interval, self._current_unit())
-        if now_ns - self._last_decay_ns < decay_interval:
+        if now_ns - self._last_decay_ns < cfg.decay_interval_ns:
             return
         self._last_decay_ns = now_ns
         if self.state is DctcpPlusState.TIME_INC:

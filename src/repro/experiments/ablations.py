@@ -37,10 +37,19 @@ def _plus(knob: str, field: str, values: Sequence[float], scale: int = 1) -> lis
 
 #: (knob, value label, protocol, N, extra point kwargs), in table order.
 ROWS = (
-    *_plus("backoff unit (us)", "backoff_time_unit_ns", (5, 10, 100, 1000), scale=1000),
+    *_plus("backoff unit (us)", "backoff_time_unit_ns", (5, 10, 100), scale=1000),
+    # The 1 ms row spaces decays 1 ms apart too (EXPERIMENTS.md also
+    # reads the unit alone).
+    (
+        "backoff unit (us)",
+        1000,
+        "dctcp+",
+        80,
+        dict(plus_overrides={"backoff_time_unit_ns": 1_000_000, "decay_interval_ns": 1_000_000}),
+    ),
     *_plus("divisor factor", "divisor_factor", (1.25, 2.0, 8.0)),
     *_plus("threshold_T (us)", "threshold_t_ns", (5, 25, 100), scale=1000),
-    *_plus("cwnd floor (MSS)", "min_cwnd_mss", (1.0, 2.0)),
+    *(("cwnd floor (MSS)", v, "dctcp+", 80, dict(min_cwnd_mss=v)) for v in (1.0, 2.0)),
     *(("cwnd floor (MSS)", 1.0, "dctcp", n, dict(min_cwnd_mss=1.0)) for n in (80, 120)),
     ("desync", "randomized", "dctcp+", 120, {}),
     ("desync", "lockstep", "dctcp+norand", 120, {}),

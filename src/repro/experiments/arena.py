@@ -16,7 +16,7 @@ DCTCP collapses past a few dozen flows while DCTCP+ degrades gracefully;
 the arena shows where Pulser's explicit notification and TBTCP's tiny-
 buffer pacing land between them.
 
-Custom strategies registered before the run (``repro.config.register``)
+Custom strategies registered before the run (``repro.register``)
 are scored automatically; ``ccs=(...)`` — the CLI's repeatable ``--cc``
 flag — picks the field explicitly, and accepts ``external:<policy>``
 names so :mod:`repro.control` scripted policies compete on equal

@@ -6,7 +6,6 @@ from .cwnd_tracker import (
     cwnd_frequency,
     merged_cwnd_histogram,
     stack_state_shares,
-    timeout_fraction_by_kind,
 )
 from .flowstats import FlowStats
 from .queue_sampler import DEFAULT_SAMPLE_INTERVAL_NS, QueueSampler
@@ -23,7 +22,6 @@ __all__ = [
     "cwnd_frequency",
     "merged_cwnd_histogram",
     "stack_state_shares",
-    "timeout_fraction_by_kind",
     "Summary",
     "cdf_at",
     "cdf_points",

@@ -113,12 +113,3 @@ class CwndTracker(Collector):
             [cwnd, count, count / total if total else 0.0]
             for cwnd, count in sorted(hist.items())
         ]
-
-
-def timeout_fraction_by_kind(stats: Iterable[FlowStats]) -> Dict[str, int]:
-    """Raw timeout counts keyed by kind name (instrumentation helper)."""
-    out = {kind.name: 0 for kind in TimeoutKind}
-    for fs in stats:
-        for _, kind in fs.timeouts:
-            out[kind.name] += 1
-    return out

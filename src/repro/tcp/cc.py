@@ -73,7 +73,8 @@ class CongestionControl:
         with ``ecn=False`` (plain New Reno) have it forced off.
     slow_time:
         Whether the paper's slow_time enhancement law is active — i.e. the
-        plus config is consumed and its cwnd floor overrides the transport's.
+        plus config is consumed, and ``spec_for`` lowers the cwnd floor to
+        1 MSS unless the caller set one.
     deadline_aware:
         Whether the factory honours ``deadline_ns`` (D2TCP family).
     install_network:

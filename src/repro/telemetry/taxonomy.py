@@ -41,9 +41,13 @@ def timeout_taxonomy(records: Iterable[TraceRecord]) -> Dict[str, int]:
 
 def timeout_taxonomy_from_stats(stats: Iterable["FlowStats"]) -> Dict[str, int]:
     """The same counts derived from per-flow statistics (legacy channel)."""
-    from ..metrics.cwnd_tracker import timeout_fraction_by_kind
+    from ..tcp.timeouts import TimeoutKind
 
-    return timeout_fraction_by_kind(stats)
+    counts = {kind.name: 0 for kind in TimeoutKind}
+    for fs in stats:
+        for _, kind in fs.timeouts:
+            counts[kind.name] += 1
+    return counts
 
 
 def stack_state_row(

@@ -46,6 +46,10 @@ from ..tcp.sender import TcpSender
 #: registrations after import are still reachable through spec_for/get_cc.
 PROTOCOLS = cc_names()
 
+#: The cwnd floor of slow_time strategies: paper footnote 3 lowers it to
+#: 1 MSS "for a smoother rate change".
+_SLOW_TIME_MIN_CWND_MSS = 1.0
+
 
 @dataclass
 class ProtocolSpec:
@@ -121,18 +125,14 @@ def spec_for(
 ) -> ProtocolSpec:
     """Build a :class:`ProtocolSpec` with optional config overrides.
 
-    A slow_time sender takes its cwnd floor from the plus config, so an
-    explicit transport ``min_cwnd_mss`` is carried over to it here — the
-    last point that knows which fields were set explicitly.
+    This is where the cwnd floor is resolved, the last point that knows
+    which fields were set explicitly: a slow_time strategy whose caller
+    left ``min_cwnd_mss`` unset runs at 1 MSS (paper footnote 3), every
+    other strategy at the :class:`TcpConfig` default.
     """
     tcp_overrides = dict(tcp_overrides or {})
-    plus_overrides = dict(plus_overrides or {})
-    if get_cc(name).slow_time and "min_cwnd_mss" in tcp_overrides:
-        floor = tcp_overrides["min_cwnd_mss"]
-        if plus_overrides.setdefault("min_cwnd_mss", floor) != floor:
-            raise ValueError(
-                f"{name!r}: TcpConfig.min_cwnd_mss={floor} contradicts "
-                f"DctcpPlusConfig.min_cwnd_mss={plus_overrides['min_cwnd_mss']}, "
-                "the floor a slow_time sender runs with; set one of them"
-            )
-    return ProtocolSpec(name, TcpConfig(**tcp_overrides), DctcpPlusConfig(**plus_overrides))
+    if get_cc(name).slow_time and "min_cwnd_mss" not in tcp_overrides:
+        tcp_overrides["min_cwnd_mss"] = _SLOW_TIME_MIN_CWND_MSS
+    return ProtocolSpec(
+        name, TcpConfig(**tcp_overrides), DctcpPlusConfig(**(plus_overrides or {}))
+    )

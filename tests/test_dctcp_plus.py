@@ -11,6 +11,7 @@ from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
 from repro.tcp.config import TcpConfig
 from repro.workloads.ids import next_flow_id
+from repro.workloads.protocols import spec_for
 
 from .helpers import intern
 
@@ -20,6 +21,8 @@ MSS = 1460
 def harness(total=40 * MSS, plus=None, **cfg_overrides):
     sim = Simulator()
     tree = build_star(sim, n_senders=1)
+    # Built directly, not through spec_for: the 1 MSS floor is explicit.
+    cfg_overrides.setdefault("min_cwnd_mss", 1.0)
     cfg = TcpConfig(seed_rtt_ns=100 * US, rto_min_ns=5 * MS, **cfg_overrides)
     plus_cfg = DctcpPlusConfig(**(plus or {}))
     s = DctcpPlusSender(
@@ -42,11 +45,14 @@ def ack(sender, ack_seq, ece=False):
 
 class TestConstruction:
     def test_floor_defaults_to_one_mss(self):
+        assert spec_for("dctcp+").tcp_config.min_cwnd_mss == 1.0
         sim, s = harness()
         assert s.config.min_cwnd_bytes == 1 * MSS
 
     def test_floor_override_via_plus_config(self):
-        sim, s = harness(plus={"min_cwnd_mss": 2.0})
+        # The plus config carries no floor: the transport's is what runs.
+        sim, s = harness(plus={"randomize": False}, min_cwnd_mss=2.0)
+        assert not hasattr(s.plus_config, "min_cwnd_mss")
         assert s.config.min_cwnd_bytes == 2 * MSS
 
     def test_pacer_installed(self):

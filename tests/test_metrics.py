@@ -7,12 +7,12 @@ from repro.metrics.cwnd_tracker import (
     cwnd_frequency,
     merged_cwnd_histogram,
     stack_state_shares,
-    timeout_fraction_by_kind,
 )
 from repro.metrics.flowstats import FlowStats
 from repro.metrics.report import format_percent, format_table
 from repro.metrics.stats import Summary, cdf_at, cdf_points, mean, percentile
 from repro.tcp.timeouts import TimeoutKind, classify_timeout
+from repro.telemetry.taxonomy import timeout_taxonomy_from_stats
 
 
 class TestFlowStats:
@@ -100,7 +100,7 @@ class TestCwndTracker:
         assert shares.timeout_share == 0.0
 
     def test_timeout_fraction_by_kind(self):
-        counts = timeout_fraction_by_kind(self._stats())
+        counts = timeout_taxonomy_from_stats(self._stats())
         assert counts == {"FLOSS": 1, "LACK": 1}
 
 

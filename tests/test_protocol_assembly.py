@@ -1,15 +1,15 @@
 """Every rule on the path from a protocol name to a running sender exists once.
 
 The registry flags (``slow_time`` / ``deadline_aware`` / ``ecn``) are what
-the spec layer, the fuzzer and ``effective_tcp_config`` read; the sender
-classes are what runs.  These tests pin the two to each other, and pin the
-sharing itself: one slow_time feeding rule, one deadline surface, one cwnd
-floor test, one RTT-seeding helper that never mutates the caller's spec.
+the spec layer and the fuzzer read; the sender classes are what runs.
+These tests pin the two to each other, and pin the sharing itself: one
+slow_time feeding rule, one deadline surface, one cwnd floor test and
+one floor resolution site, one RTT-seeding helper that never mutates the
+caller's spec.
 """
 
 import pytest
 
-from repro.config import DctcpPlusConfig, ProtocolSpec, TcpConfig, effective_tcp_config
 from repro.control.external import DeadlineExternalPolicySender, ExternalPolicySender
 from repro.core.dctcp_plus import DctcpPlusSender
 from repro.core.reno_plus import RenoPlusSender
@@ -18,6 +18,7 @@ from repro.exec.scenario import ScenarioSpec, run_scenario
 from repro.net.topology import TopologyParams, build_star, build_two_tier
 from repro.sim.engine import Simulator
 from repro.tcp.cc import cc_names, get_cc
+from repro.tcp.config import TcpConfig
 from repro.tcp.d2tcp import D2tcpPlusSender, D2tcpSender, DeadlineMixin
 from repro.tcp.sender import TcpSender
 from repro.workloads.background import BackgroundTraffic
@@ -30,10 +31,10 @@ from repro.workloads.protocols import spec_for
 EXTERNAL = ("external:dctcp-plus-scripted", "external:deadline-greedy")
 
 
-def build_sender(name, tcp=None, plus=None):
+def build_sender(name, **tcp_overrides):
     sim = Simulator()
     tree = build_star(sim, n_senders=1)
-    spec = ProtocolSpec(name, tcp or TcpConfig(), plus or DctcpPlusConfig())
+    spec = spec_for(name, tcp_overrides=tcp_overrides)
     return spec.make_sender(sim, tree.servers[0], tree.aggregator.node_id, next_flow_id())
 
 
@@ -41,12 +42,9 @@ def build_sender(name, tcp=None, plus=None):
 @pytest.mark.parametrize("name", cc_names() + EXTERNAL)
 def test_registry_flags_describe_the_built_sender(name):
     cc = get_cc(name)
-    # Distinct, non-default floors: whichever wins shows in the result.
-    tcp = TcpConfig(min_cwnd_mss=3.0, rto_min_ns=7_000_000)
-    plus = DctcpPlusConfig(min_cwnd_mss=1.5)
-    sender = build_sender(name, tcp, plus)
-    assert sender.config == effective_tcp_config(tcp, plus, cc=name)
-    assert sender.config.min_cwnd_mss == (1.5 if cc.slow_time else 3.0)
+    sender = build_sender(name, rto_min_ns=7_000_000)
+    assert sender.config.rto_min_ns == 7_000_000
+    assert sender.config.min_cwnd_mss == (1.0 if cc.slow_time else TcpConfig().min_cwnd_mss)
     assert sender.config.ecn_enabled == cc.ecn
     assert hasattr(sender, "machine") == cc.slow_time
     assert hasattr(sender, "set_deadline") == cc.deadline_aware
@@ -144,38 +142,20 @@ def test_explicit_rtt_seed_is_kept():
     assert _incast(sim, tree, spec)[0].config.seed_rtt_ns == 77_000
 
 
-# -- the cwnd-floor knob reaches slow_time strategies --------------------------------
+# -- one cwnd floor, resolved by spec_for ---------------------------------------------
 class TestFloorKnob:
     def test_transport_floor_becomes_the_plus_floor(self):
-        spec = spec_for("dctcp+", tcp_overrides={"min_cwnd_mss": 2.0})
-        assert spec.plus_config.min_cwnd_mss == 2.0
-        assert build_sender("dctcp+", spec.tcp_config, spec.plus_config).config.min_cwnd_mss == 2.0
-        # Strategies without the slow_time law keep the two fields apart.
-        plain = spec_for(
-            "dctcp", tcp_overrides={"min_cwnd_mss": 1.0}, plus_overrides={"min_cwnd_mss": 2.0}
-        )
-        assert (plain.tcp_config.min_cwnd_mss, plain.plus_config.min_cwnd_mss) == (1.0, 2.0)
-
-    def test_contradicting_floors_raise_naming_both_fields(self):
-        with pytest.raises(ValueError) as err:
-            spec_for(
-                "tcp+", tcp_overrides={"min_cwnd_mss": 2.0}, plus_overrides={"min_cwnd_mss": 1.0}
-            )
-        assert "TcpConfig.min_cwnd_mss" in str(err.value)
-        assert "DctcpPlusConfig.min_cwnd_mss" in str(err.value)
-        agreed = spec_for(
-            "tcp+", tcp_overrides={"min_cwnd_mss": 2.0}, plus_overrides={"min_cwnd_mss": 2.0}
-        )
-        assert agreed.plus_config.min_cwnd_mss == 2.0
+        # An explicit transport floor is the one a slow_time sender runs.
+        assert build_sender("dctcp+", min_cwnd_mss=2.0).config.min_cwnd_mss == 2.0
+        assert build_sender("tcp+", min_cwnd_mss=1.5).config.min_cwnd_mss == 1.5
+        # Unset, slow_time strategies get paper footnote 3's 1 MSS...
+        assert spec_for("dctcp+").tcp_config.min_cwnd_mss == 1.0
+        # ...and the rest keep the transport default.
+        assert spec_for("dctcp").tcp_config == TcpConfig()
 
     def test_scenario_floor_axis_changes_a_slow_time_run(self):
         base = dict(n_flows=40, rounds=3, seed=1)
         default = run_scenario(ScenarioSpec.create("dctcp+", **base))
-        via_transport = run_scenario(ScenarioSpec.create("dctcp+", min_cwnd_mss=2.0, **base))
-        via_plus = run_scenario(
-            ScenarioSpec.create("dctcp+", plus_overrides={"min_cwnd_mss": 2.0}, **base)
-        )
-        assert via_transport == via_plus
-        assert via_transport != default
-        # The figure drivers pass 1.0, the plus default: nothing moves.
+        assert run_scenario(ScenarioSpec.create("dctcp+", min_cwnd_mss=2.0, **base)) != default
+        # The figure drivers pass 1.0, the slow_time default: nothing moves.
         assert run_scenario(ScenarioSpec.create("dctcp+", min_cwnd_mss=1.0, **base)) == default

@@ -7,11 +7,9 @@ fine; removals must be deliberate and update the snapshot here).
 
 from __future__ import annotations
 
-import pytest
-
 import repro
 
-#: The v1.4 public surface.  Extend when the API grows; removing a name
+#: The v1.6 public surface.  Extend when the API grows; removing a name
 #: is a breaking change and should be a conscious decision.
 EXPECTED_SURFACE = {
     # simulator + topology
@@ -88,8 +86,7 @@ EXPECTED_SURFACE = {
     "SweepStore",
     "SweepProgress",
     "run_sweep",
-    # namespaces / meta
-    "config",
+    # meta
     "__version__",
 }
 
@@ -105,43 +102,6 @@ def test_surface_snapshot():
 
 def test_no_duplicate_all_entries():
     assert len(repro.__all__) == len(set(repro.__all__))
-
-
-def test_config_namespace_aliases_the_originals():
-    import repro.config
-    import repro.core.config
-    import repro.tcp.config
-    import repro.workloads.protocols
-
-    assert repro.config.TcpConfig is repro.tcp.config.TcpConfig
-    assert repro.config.DctcpPlusConfig is repro.core.config.DctcpPlusConfig
-    assert repro.config.ProtocolSpec is repro.workloads.protocols.ProtocolSpec
-    assert repro.config.spec_for is repro.workloads.protocols.spec_for
-
-
-def test_effective_tcp_config_applies_plus_floor():
-    from repro.config import DctcpPlusConfig, TcpConfig, effective_tcp_config
-
-    resolved = effective_tcp_config(TcpConfig(), DctcpPlusConfig(min_cwnd_mss=1.0))
-    assert resolved.min_cwnd_mss == 1.0
-    assert effective_tcp_config().min_cwnd_mss == TcpConfig().min_cwnd_mss
-    assert effective_tcp_config(ecn_enabled=True).ecn_enabled is True
-
-
-def test_effective_tcp_config_resolves_cc_dimension():
-    from repro.config import DctcpPlusConfig, TcpConfig, effective_tcp_config
-
-    plus = DctcpPlusConfig(min_cwnd_mss=1.0)
-    # The plus floor applies only to strategies carrying the slow_time law.
-    assert effective_tcp_config(plus=plus, cc="dctcp+").min_cwnd_mss == 1.0
-    assert effective_tcp_config(plus=plus, cc="dctcp").min_cwnd_mss == TcpConfig().min_cwnd_mss
-    # ECN stance comes from the registry metadata...
-    assert effective_tcp_config(cc="tcp").ecn_enabled is False
-    assert effective_tcp_config(cc="pulser").ecn_enabled is True
-    # ...unless explicitly overridden.
-    assert effective_tcp_config(cc="tcp", ecn_enabled=True).ecn_enabled is True
-    with pytest.raises(ValueError):
-        effective_tcp_config(cc="unknown-cc")
 
 
 def test_cc_registry_exported():

@@ -19,7 +19,7 @@ MSS = 1460
 def harness(total=40 * MSS):
     sim = Simulator()
     tree = build_star(sim, n_senders=1)
-    cfg = TcpConfig(seed_rtt_ns=100 * US, rto_min_ns=5 * MS)
+    cfg = TcpConfig(seed_rtt_ns=100 * US, rto_min_ns=5 * MS, min_cwnd_mss=1.0)
     s = RenoPlusSender(sim, tree.servers[0], tree.aggregator.node_id, next_flow_id(), config=cfg)
     s.send(total)
     sim.run(until=1)

@@ -8,18 +8,18 @@ from hypothesis import given, strategies as st
 from repro.core.config import DctcpPlusConfig
 from repro.core.state_machine import SlowTimeStateMachine
 from repro.core.states import DctcpPlusState
+from repro.exec.scenario import ScenarioSpec, run_scenario
 from repro.sim.units import US
 
 
 def make(randomize=True, divisor=2.0, threshold=25 * US, unit=100 * US,
-         decay_interval=0, decay_mode="fixed", seed=1):
+         decay_interval=0, seed=1):
     cfg = DctcpPlusConfig(
         backoff_time_unit_ns=unit,
         divisor_factor=divisor,
         threshold_t_ns=threshold,
         randomize=randomize,
         decay_interval_ns=decay_interval,
-        decay_interval_mode=decay_mode,
     )
     return SlowTimeStateMachine(cfg, random.Random(seed))
 
@@ -37,10 +37,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DctcpPlusConfig(threshold_t_ns=-1)
 
-    def test_rejects_bad_floor(self):
-        with pytest.raises(ValueError):
-            DctcpPlusConfig(min_cwnd_mss=0)
-
     def test_rejects_bad_unit_mode(self):
         with pytest.raises(ValueError):
             DctcpPlusConfig(backoff_unit_mode="wrong")
@@ -48,10 +44,6 @@ class TestConfigValidation:
     def test_rejects_negative_decay_interval(self):
         with pytest.raises(ValueError):
             DctcpPlusConfig(decay_interval_ns=-1)
-
-    def test_rejects_bad_decay_interval_mode(self):
-        with pytest.raises(ValueError):
-            DctcpPlusConfig(decay_interval_mode="wrong")
 
     def test_with_overrides(self):
         cfg = DctcpPlusConfig().with_overrides(divisor_factor=4.0)
@@ -165,15 +157,29 @@ class TestDecayPacing:
         m.on_clean_ack(1_000_000 + 150 * US)  # past interval: decays
         assert m.slow_time_ns < level
 
-    def test_srtt_mode_uses_unit_source(self):
-        m = make(randomize=False, decay_interval=0, decay_mode="srtt")
+    @given(
+        st.integers(min_value=0, max_value=200 * US),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 300 * US)), max_size=120),
+    )
+    def test_clean_ack_decays_iff_interval_elapsed(self, interval, script):
+        # The live unit (an SRTT, say) is larger than both the configured
+        # unit and the interval: the cadence must still be the interval.
+        m = make(decay_interval=interval, seed=7)
         m.unit_source = lambda: 500 * US
-        m.on_congestion_event()
-        m.on_congestion_event()
-        m.on_clean_ack(10_000_000)
-        level = m.slow_time_ns
-        m.on_clean_ack(10_000_000 + 400 * US)  # < srtt: absorbed
-        assert m.slow_time_ns == level
+        last_decay = None
+        now = 0
+        for congested, dt in script:
+            now += dt
+            if congested:
+                m.on_congestion_event()
+                continue
+            engaged = m.state is not DctcpPlusState.NORMAL
+            before = _decay_view(m)
+            m.on_clean_ack(now)
+            due = engaged and (last_decay is None or now - last_decay >= interval)
+            assert (_decay_view(m) != before) == due
+            if due:
+                last_decay = now
 
     def test_unit_source_scales_increments(self):
         m = make(randomize=False)
@@ -218,3 +224,73 @@ class TestInvariants:
         assert not m.pacing_active
         m.on_congestion_event()
         assert m.pacing_active
+
+
+def _decay_view(m):
+    """Everything a decay step changes (it always changes one of them)."""
+    return (m.state, m.slow_time_ns, m.transitions_to_des, m.transitions_to_normal)
+
+
+#: Random congestion / clean-ACK scripts at random times, over random laws.
+machines = st.builds(
+    make,
+    randomize=st.booleans(),
+    divisor=st.floats(min_value=1.01, max_value=16.0),
+    threshold=st.integers(min_value=0, max_value=100 * US),
+    decay_interval=st.integers(min_value=0, max_value=200 * US),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+scripts = st.lists(st.tuples(st.booleans(), st.integers(0, 300 * US)), max_size=150)
+
+
+class TestAlgorithm1:
+    """Algorithm 1's laws, step by step, on a bare machine."""
+
+    @staticmethod
+    def _steps(m, script):
+        """Run ``script``, yielding (congested, state/slow_time before, after)."""
+        now = 0
+        for congested, dt in script:
+            now += dt
+            before = (m.state, m.slow_time_ns)
+            if congested:
+                m.on_congestion_event()
+            else:
+                m.on_clean_ack(now)
+            yield congested, before, (m.state, m.slow_time_ns)
+
+    @given(machines, scripts)
+    def test_slow_time_never_decreases_in_time_inc(self, m, script):
+        for _, (state, s), (state_after, s_after) in self._steps(m, script):
+            if state is DctcpPlusState.TIME_INC and state_after is DctcpPlusState.TIME_INC:
+                assert s_after >= s
+
+    @given(machines, scripts)
+    def test_every_decay_divides_exactly(self, m, script):
+        divisor = m.config.divisor_factor
+        for congested, (state, s), (state_after, s_after) in self._steps(m, script):
+            if congested or (state, s) == (state_after, s_after):
+                continue  # not a decay step (absorbed, or NORMAL)
+            if state_after is DctcpPlusState.TIME_DES:
+                assert s_after == int(s / divisor)
+            else:  # TIME_DES -> NORMAL, only from at or below threshold_T
+                assert state is DctcpPlusState.TIME_DES and state_after is DctcpPlusState.NORMAL
+                assert s <= m.config.threshold_t_ns
+
+    @given(machines, scripts)
+    def test_normal_is_zero_and_unpaced(self, m, script):
+        for _, _, (state_after, s_after) in self._steps(m, script):
+            if state_after is DctcpPlusState.NORMAL:
+                assert s_after == 0
+                assert not m.pacing_active
+
+
+def test_zero_decay_interval_changes_a_scenario():
+    """``decay_interval_ns=0`` (Algorithm 1's literal per-ACK decay) is
+    honoured below the backoff unit, so it moves a DCTCP+ incast."""
+    base = dict(rounds=1, seed=1, min_cwnd_mss=1.0)  # the smallest that shows it
+    default = run_scenario(ScenarioSpec.create("dctcp+", 6, **base))
+    literal = run_scenario(
+        ScenarioSpec.create("dctcp+", 6, plus_overrides={"decay_interval_ns": 0}, **base)
+    )
+    assert literal != default

@@ -6,7 +6,11 @@ import dataclasses
 import pytest
 
 from repro.core.config import DctcpPlusConfig
+from repro.net.topology import build_star
+from repro.sim.engine import Simulator
+from repro.tcp.cc import cc_names
 from repro.tcp.config import TcpConfig
+from repro.workloads.ids import next_flow_id
 from repro.workloads.protocols import spec_for
 
 
@@ -92,8 +96,22 @@ class TestOverridesMemo:
         assert not cfg._derived
 
 
+#: Strategies whose built sender runs at a 1 MSS floor / with ECN off, as
+#: every earlier release built them.
+ONE_MSS_FLOOR = {"dctcp+", "dctcp+norand", "tcp+", "d2tcp+", "external:dctcp-plus-scripted"}
+NO_ECN = {"tcp", "tcp+"}
+
+
 def test_spec_for_resolves_to_the_same_values_as_before_the_memo():
     assert spec_for("dctcp+norand").plus_config == DctcpPlusConfig(randomize=False)
-    floor = spec_for("dctcp+", tcp_overrides={"min_cwnd_mss": 2.0, "rto_min_ns": 10_000_000})
-    assert floor.tcp_config == TcpConfig(min_cwnd_mss=2.0, rto_min_ns=10_000_000)
-    assert floor.plus_config == DctcpPlusConfig(min_cwnd_mss=2.0)
+    names = cc_names() + ("external:dctcp-plus-scripted", "external:deadline-greedy")
+    for explicit in ({}, {"min_cwnd_mss": 2.0, "rto_min_ns": 10_000_000}):
+        for name in names:
+            sim = Simulator()
+            tree = build_star(sim, n_senders=1)
+            spec = spec_for(name, tcp_overrides=explicit)
+            sender = spec.make_sender(sim, tree.servers[0], tree.aggregator.node_id, next_flow_id())
+            expected = TcpConfig(
+                min_cwnd_mss=1.0 if name in ONE_MSS_FLOOR else 2.0, ecn_enabled=name not in NO_ECN
+            ).with_overrides(**explicit)
+            assert sender.config == expected, (name, explicit)

@@ -159,7 +159,7 @@ class TestMachineObserver:
             tree.servers[0],
             tree.aggregator.node_id,
             next_flow_id(),
-            config=TcpConfig(seed_rtt_ns=100 * US, rto_min_ns=2 * MS),
+            config=TcpConfig(seed_rtt_ns=100 * US, rto_min_ns=2 * MS, min_cwnd_mss=1.0),
         )
         assert not sender._cwnd_at_floor  # init cwnd is above the floor
         with pytest.raises(InvariantViolation, match="DCTCP_Time_Inc"):
