@@ -19,7 +19,7 @@ from repro import (
     build_two_tier,
     spec_for,
 )
-from repro.metrics import format_table
+from repro.telemetry import format_table
 
 
 def parse_args() -> argparse.Namespace:

@@ -14,7 +14,7 @@ Run:  python examples/deadline_flows.py [--flows 60] [--deadline-ms 40]
 import argparse
 
 from repro import IncastConfig, IncastWorkload, Simulator, build_two_tier, spec_for
-from repro.metrics import format_table
+from repro.telemetry import format_table
 
 
 def parse_args() -> argparse.Namespace:

@@ -10,7 +10,7 @@ Run:  python examples/incast_sweep.py --protocols dctcp dctcp+ --flows 20 60 120
 import argparse
 
 from repro import IncastConfig, IncastWorkload, Simulator, build_two_tier, spec_for
-from repro.metrics import format_table
+from repro.telemetry import format_table
 
 
 def parse_args() -> argparse.Namespace:

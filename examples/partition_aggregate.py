@@ -14,7 +14,7 @@ import argparse
 
 from repro import BenchmarkConfig, BenchmarkWorkload, Simulator, build_two_tier
 from repro.experiments.common import make_spec
-from repro.metrics import format_table
+from repro.telemetry import format_table
 
 
 def parse_args() -> argparse.Namespace:

@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import IncastConfig, IncastWorkload, Simulator, build_two_tier, spec_for
-from repro.metrics import format_table
+from repro.telemetry import format_table
 
 N_FLOWS = 80
 ROUNDS = 15

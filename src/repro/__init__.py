@@ -10,14 +10,14 @@ The package layers:
   a transport by one ``SlowTimeMixin``) — the paper
 - :mod:`repro.workloads` — incast / HTTP / swarm rounds on one closed-loop
   lifecycle, long flows, benchmark traffic
-- :mod:`repro.metrics`   — flow stats, queue sampling, histograms, tables
 - :mod:`repro.exec`  — declarative scenario specs, serial/parallel executors
 - :mod:`repro.sweep` — million-point sweep service: declarative grid/random
   sweeps, the content-addressed SQLite result store (also the executors'
   ``--cache-dir`` cache), resumable sharded orchestration
   (``python -m repro sweep``)
-- :mod:`repro.telemetry` — typed event tracing, collectors, exporters,
-  engine profiling (``python -m repro trace``)
+- :mod:`repro.telemetry` — typed event tracing, the flow/queue probes,
+  summaries and tables, exporters, engine profiling
+  (``python -m repro trace``)
 - :mod:`repro.control` — gym-style :class:`ControlEnv` (step/observe/act
   over a live scenario) and external scripted CC policies riding the
   typed :class:`CCEvent` protocol (``cc="external:<policy>"``)
@@ -60,7 +60,6 @@ from .core import (
     SlowTimePacer,
     SlowTimeStateMachine,
 )
-from .metrics import CwndTracker, FlowStats, FlowTracer, QueueSampler
 from .net import (
     DumbbellNetwork,
     FatTreeNetwork,
@@ -85,10 +84,13 @@ from .sweep import SweepProgress, SweepSpec, SweepStore, run_sweep
 from .tcp import DctcpSender, TcpConfig, TcpReceiver, TcpSender, TimeoutKind
 from .tcp.cc import CongestionControl, cc_labels, cc_names, get_cc, register
 from .tcp.events import CCEvent
+from .tcp.flowstats import FlowStats
 from .telemetry import (
     Collector,
     EngineProfiler,
+    FlowTracer,
     PeriodicCollector,
+    QueueSampler,
     Tracer,
     TraceRecord,
 )
@@ -162,7 +164,6 @@ __all__ = [
     "spec_for",
     "FlowStats",
     "FlowTracer",
-    "CwndTracker",
     "QueueSampler",
     "ScenarioSpec",
     "PointResult",

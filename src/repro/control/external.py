@@ -25,13 +25,13 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..core.config import DctcpPlusConfig
-from ..metrics.flowstats import FlowStats
 from ..net.host import Host
 from ..sim.engine import Simulator
 from ..tcp.config import TcpConfig
 from ..tcp.d2tcp import DeadlineMixin
 from ..tcp.dctcp import DctcpSender
 from ..tcp.events import CCEvent
+from ..tcp.flowstats import FlowStats
 from ..tcp.sender import TcpSender
 from .policies import ExternalPolicy
 

@@ -28,11 +28,11 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Optional
 
-from ..metrics.flowstats import FlowStats
 from ..net.host import Host
 from ..sim.engine import Simulator
 from ..tcp.config import TcpConfig
 from ..tcp.events import CC_ACK_ECHO, CCEvent
+from ..tcp.flowstats import FlowStats
 from ..tcp.sender import TcpSender
 from .config import DctcpPlusConfig
 from .pacer import SlowTimePacer

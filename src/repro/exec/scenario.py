@@ -26,8 +26,6 @@ from itertools import accumulate, chain, pairwise, starmap
 from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..metrics.flowstats import FlowStats
-from ..metrics.queue_sampler import QueueSampler
 from ..net.faults import drop_nth, make_lossy, random_loss
 from ..net.topology import (
     TopologyParams,
@@ -36,7 +34,9 @@ from ..net.topology import (
     topology_builder,
 )
 from ..sim.engine import Simulator
+from ..tcp.flowstats import FlowStats
 from ..tcp.timeouts import TimeoutKind
+from ..telemetry.collector import QueueSampler
 from ..telemetry.tracer import Tracer, TraceRecord
 from ..workloads.background import BackgroundTraffic
 from ..workloads.http import HttpConfig, HttpWorkload

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..exec import PointResult, ScenarioSpec, get_executor
-from ..metrics.report import format_table
+from ..telemetry.export import format_table
 from ..workloads.protocols import ProtocolSpec
 
 #: Backwards-compatible alias: the ad-hoc per-figure result type is now the

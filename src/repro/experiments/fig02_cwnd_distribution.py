@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from ..metrics.cwnd_tracker import cwnd_frequency
+from ..telemetry.taxonomy import cwnd_frequency
 from .common import ExperimentResult, run_incast_batch
 
 EXPERIMENT_ID = "fig2"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..metrics.stats import cdf_at
+from ..telemetry.taxonomy import cdf_at
 from .common import ExperimentResult, run_incast_batch
 
 EXPERIMENT_ID = "fig9"

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import List
 
-from ..metrics.queue_sampler import QueueSampler
 from ..net.topology import build_two_tier
 from ..sim.engine import Simulator
+from ..telemetry.collector import QueueSampler
 from ..workloads.incast import IncastConfig, IncastWorkload
 from .common import ExperimentResult, make_spec
 

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..metrics.flowstats import FlowStats
 from ..net.host import Host
 from ..sim.engine import Simulator
 from .config import TcpConfig
 from .events import CCEvent
 from .flowstate import ledger_field, ledger_flag
+from .flowstats import FlowStats
 from .sender import TcpSender
 
 

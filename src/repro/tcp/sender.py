@@ -38,13 +38,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Protocol
 
-from ..metrics.flowstats import FlowStats
 from ..net.host import Host
 from ..net.pool import F_ACK, F_ECE, F_INC, PacketPool
 from ..sim.engine import Simulator
 from .config import TcpConfig
 from .events import CC_ACK, CC_ACK_ECHO, CC_INC_ECHO, CC_RTO, CC_SEND, CCEvent
 from .flowstate import FlowLedger, ledger_field
+from .flowstats import FlowStats
 from .rtt import RttEstimator
 from .timeouts import classify_timeout
 

@@ -1,6 +1,6 @@
-"""repro.telemetry — the unified tracing/metrics subsystem.
+"""repro.telemetry — the one observability package.
 
-One observability layer shared by experiments, bench and fuzz runs:
+One layer shared by experiments, bench and fuzz runs:
 
 - :class:`Tracer` + :class:`TraceRecord` — typed, append-only event
   records (drops, marks, retransmits, RTOs with FLoss/LAck classification,
@@ -8,24 +8,30 @@ One observability layer shared by experiments, bench and fuzz runs:
   hook points; strictly zero-cost when tracing is off.
 - :class:`HookRegistry` — the single fan-out point those hook points talk
   to; the invariant checker and the tracer are both plain subscribers.
-- :class:`Collector` / :class:`PeriodicCollector` — the lifecycle + export
-  protocol every probe (FlowTracer, QueueSampler, CwndTracker) shares.
+- :class:`Collector` / :class:`PeriodicCollector` — the start/stop +
+  export protocol every probe shares, and the two periodic probes on it:
+  :class:`FlowTracer` (one sender's cwnd/slow_time series, the
+  ``tcp_probe`` analogue) and :class:`QueueSampler` (100 µs queue length).
 - :class:`EngineProfiler` — opt-in dispatch-loop profiling by event kind.
-- :mod:`repro.telemetry.export` — JSONL trace streams and CSV summaries.
-- :mod:`repro.telemetry.taxonomy` — timeout-taxonomy / queue-occupancy
-  analysis (``python -m repro trace`` reports through it).
+- :mod:`repro.telemetry.export` — JSONL trace streams, CSV summaries and
+  the text tables every experiment prints (:func:`format_table`).
+- :mod:`repro.telemetry.taxonomy` — the paper's numbers: timeout taxonomy,
+  stack-state shares, cwnd frequency, CDFs and :class:`Summary`
+  (``python -m repro trace`` reports through it).
 """
 
-from .collector import Collector, PeriodicCollector
-from .export import read_jsonl, records_from_jsonl, records_to_jsonl, write_csv, write_jsonl
+from .collector import Collector, FlowTracer, PeriodicCollector, QueueSampler
+from .export import (
+    format_table,
+    read_jsonl,
+    records_from_jsonl,
+    records_to_jsonl,
+    write_csv,
+    write_jsonl,
+)
 from .hooks import HookRegistry
 from .profiler import EngineProfiler
-from .taxonomy import (
-    queue_occupancy_summary,
-    stack_state_row,
-    timeout_taxonomy,
-    timeout_taxonomy_from_stats,
-)
+from .taxonomy import stack_state_row, timeout_taxonomy, timeout_taxonomy_from_stats
 from .tracer import EVENT_KINDS, Tracer, TraceRecord
 
 __all__ = [
@@ -35,14 +41,16 @@ __all__ = [
     "HookRegistry",
     "Collector",
     "PeriodicCollector",
+    "FlowTracer",
+    "QueueSampler",
     "EngineProfiler",
     "records_to_jsonl",
     "records_from_jsonl",
     "write_jsonl",
     "read_jsonl",
     "write_csv",
+    "format_table",
     "timeout_taxonomy",
     "timeout_taxonomy_from_stats",
     "stack_state_row",
-    "queue_occupancy_summary",
 ]

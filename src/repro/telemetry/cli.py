@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import argparse
 from contextlib import closing
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from ..cli import add_common_arguments, apply_common_arguments
-from .taxonomy import queue_occupancy_summary, timeout_taxonomy, timeout_taxonomy_from_stats
+from .taxonomy import Summary, timeout_taxonomy, timeout_taxonomy_from_stats
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,10 +129,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"  cross-check vs per-flow stats: MISMATCH {from_stats}")
         return 1
 
-    occ = queue_occupancy_summary(result.queue_samples_bytes)
+    occ = Summary.of(result.queue_samples_bytes)
     print("\nbottleneck queue occupancy (bytes):")
-    for key in ("samples", "mean", "p50", "p95", "p99", "max"):
-        print(f"  {key:<8} {occ[key]:,.0f}")
+    for key, value in asdict(occ).items():
+        print(f"  {key:<8} {value:,.0f}")
 
     hwm = tracer.high_watermarks()
     if hwm:

@@ -17,7 +17,7 @@ uses:
   ``None`` per packet — chaining a closure there costs nothing when no
   assembler is attached;
 - timeout taxonomy counts (FLoss-TO / LAck-TO) come from the flow's
-  :class:`~repro.metrics.flowstats.FlowStats` record.
+  :class:`~repro.tcp.flowstats.FlowStats` record.
 
 The assembler schedules no events and draws no randomness, so attaching
 it never perturbs a simulation.

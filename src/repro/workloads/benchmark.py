@@ -27,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..metrics.stats import Summary
 from ..net.host import Host
 from ..net.topology import TwoTierTree
 from ..sim.engine import Simulator
 from ..sim.units import KB, MS
 from ..tcp.receiver import TcpReceiver
 from ..tcp.sender import TcpSender
+from ..telemetry.taxonomy import Summary
 from .distributions import (
     BACKGROUND_FLOW_SIZE_CDF,
     BACKGROUND_INTERARRIVAL_CDF,

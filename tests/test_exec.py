@@ -30,7 +30,7 @@ from repro.exec import (
     using_executor,
 )
 from repro.exec.scenario import canonical_json
-from repro.metrics.flowstats import FlowStats
+from repro.tcp.flowstats import FlowStats
 from repro.tcp.timeouts import TimeoutKind
 from repro.telemetry import TraceRecord
 

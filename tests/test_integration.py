@@ -116,7 +116,9 @@ class TestQueueBehaviour:
         the 128 KB buffer limit (and drops); DCTCP+'s worst case stays
         clearly below it.  (The *mean* is not comparable here because a
         collapsed DCTCP idles at zero queue between its RTOs.)"""
-        from repro.metrics.queue_sampler import QueueSampler
+        import numpy as np
+
+        from repro.telemetry.collector import QueueSampler
 
         peaks = {}
         drops = {}
@@ -128,7 +130,7 @@ class TestQueueBehaviour:
             wl = IncastWorkload(sim, tree, spec_for(protocol), IncastConfig(n_flows=50, n_rounds=6))
             wl.run_to_completion(max_events=100_000_000)
             sampler.stop()
-            peaks[protocol] = sampler.percentile_bytes(99.9)
+            peaks[protocol] = np.percentile(sampler.samples, 99.9)
             drops[protocol] = tree.bottleneck_port.queue.dropped_packets
         assert drops["dctcp"] > 0
         assert peaks["dctcp"] > 120 * 1024

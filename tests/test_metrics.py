@@ -1,18 +1,21 @@
-"""Tests for metrics: flow stats, cwnd tracking, stats helpers, tables."""
+"""Tests for flow stats and the telemetry numbers: cwnd/ECE shares, CDFs, summaries, tables."""
+
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.cwnd_tracker import (
-    cwnd_frequency,
-    merged_cwnd_histogram,
-    stack_state_shares,
-)
-from repro.metrics.flowstats import FlowStats
-from repro.metrics.report import format_percent, format_table
-from repro.metrics.stats import Summary, cdf_at, cdf_points, mean, percentile
+from repro.tcp.flowstats import FlowStats
 from repro.tcp.timeouts import TimeoutKind, classify_timeout
-from repro.telemetry.taxonomy import timeout_taxonomy_from_stats
+from repro.telemetry.export import format_table
+from repro.telemetry.taxonomy import (
+    Summary,
+    cdf_at,
+    cwnd_frequency,
+    stack_state_row,
+    stack_state_shares,
+    timeout_taxonomy_from_stats,
+)
 
 
 class TestFlowStats:
@@ -29,11 +32,13 @@ class TestFlowStats:
         fs.record_send_snapshot(2, True)
         fs.record_send_snapshot(2, True)
         fs.record_send_snapshot(3, False)
-        assert fs.send_snapshots[(2, True)] == 2
-        assert fs.snapshot_fraction(2, True) == pytest.approx(2 / 3)
+        assert fs.send_snapshots == {(2, True): 2, (3, False): 1}
 
     def test_snapshot_fraction_empty(self):
-        assert FlowStats().snapshot_fraction(2, True) == 0.0
+        # a flow that never sent: no share, not a division by zero
+        shares = stack_state_shares([FlowStats()])
+        assert shares.transmissions == 0
+        assert shares.cwnd2_ece1_share == 0.0
 
     def test_cwnd_histogram_merges_ece(self):
         fs = FlowStats()
@@ -76,7 +81,8 @@ class TestCwndTracker:
         return [a, b]
 
     def test_merged_histogram(self):
-        assert merged_cwnd_histogram(self._stats()) == {2: 4, 4: 1, 1: 1}
+        # merged across flows and ECE states, keyed in cwnd order
+        assert cwnd_frequency(self._stats()) == {1: 1 / 6, 2: 4 / 6, 4: 1 / 6}
 
     def test_frequency_normalized(self):
         freq = cwnd_frequency(self._stats())
@@ -106,25 +112,26 @@ class TestCwndTracker:
 
 class TestStats:
     def test_mean(self):
-        assert mean([1, 2, 3]) == 2.0
-        assert mean([]) == 0.0
+        assert Summary.of([1, 2, 3]).mean == 2.0
+        assert Summary.of([]).mean == 0.0
 
     def test_percentile(self):
-        assert percentile(list(range(101)), 95) == pytest.approx(95.0)
-        assert percentile([], 50) == 0.0
-
-    def test_percentile_validates(self):
-        with pytest.raises(ValueError):
-            percentile([1], 101)
+        s = Summary.of(list(range(101)))
+        assert s.p50 == pytest.approx(50.0)
+        assert s.p95 == pytest.approx(95.0)
+        assert s.p99 == pytest.approx(99.0)
+        assert Summary.of([]).p95 == 0.0
 
     def test_cdf_points_last_is_one(self):
-        values, probs = cdf_points([3, 1, 2])
-        assert list(values) == [1, 2, 3]
+        # the empirical CDF evaluated at its own sorted sample points
+        values = [3, 1, 2]
+        probs = cdf_at(values, sorted(values))
+        assert probs == pytest.approx([1 / 3, 2 / 3, 1.0])
         assert probs[-1] == 1.0
 
     def test_cdf_points_empty(self):
-        values, probs = cdf_points([])
-        assert len(values) == 0 and len(probs) == 0
+        assert cdf_at([], []) == []
+        assert cdf_at([3, 1, 2], []) == []
 
     def test_cdf_at(self):
         probs = cdf_at([1, 2, 3, 4], [0, 2, 10])
@@ -139,17 +146,21 @@ class TestStats:
         probs = cdf_at(values, thresholds)
         assert probs == sorted(probs)
         assert probs[-1] == 1.0
+        # the per-threshold loop it replaced, as the exact reference
+        ordered = sorted(values)
+        assert probs == [bisect_right(ordered, t) / len(values) for t in thresholds]
 
     def test_summary(self):
         s = Summary.of(list(range(1, 101)))
         assert s.count == 100
         assert s.mean == pytest.approx(50.5)
+        assert s.p50 == pytest.approx(50.5)
         assert s.p95 == pytest.approx(95.05)
         assert s.maximum == 100
 
     def test_summary_empty(self):
         s = Summary.of([])
-        assert s.count == 0 and s.mean == 0.0
+        assert s.count == 0 and s.mean == 0.0 and s.p50 == 0.0
 
 
 class TestReport:
@@ -168,8 +179,14 @@ class TestReport:
             format_table(["a", "b"], [[1]])
 
     def test_format_percent(self):
-        assert format_percent(0.5816) == "58.16%"
-        assert format_percent(0) == "0.00%"
+        dctcp = FlowStats()
+        for _ in range(5816):
+            dctcp.record_send_snapshot(2, True)
+        for _ in range(10_000 - 5816):
+            dctcp.record_send_snapshot(4, False)
+        row = stack_state_row([dctcp], [])
+        assert row[0] == "58.16%"
+        assert row[1:] == ["0.00%"] * 4
 
     def test_float_rendering(self):
         text = format_table(["v"], [[1234.5], [12.34], [0.1234], [0]])

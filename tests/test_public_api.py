@@ -64,10 +64,9 @@ EXPECTED_SURFACE = {
     "BenchmarkWorkload",
     "ProtocolSpec",
     "spec_for",
-    # metrics + telemetry
+    # flow stats + telemetry
     "FlowStats",
     "FlowTracer",
-    "CwndTracker",
     "QueueSampler",
     "Tracer",
     "TraceRecord",
@@ -113,10 +112,9 @@ def test_cc_registry_exported():
 
 
 def test_telemetry_collectors_share_the_protocol():
-    from repro import Collector, CwndTracker, FlowTracer, QueueSampler, Tracer
-    from repro.telemetry import EngineProfiler
+    from repro import Collector, EngineProfiler, FlowTracer, QueueSampler, Tracer
 
-    for cls in (FlowTracer, QueueSampler, CwndTracker, Tracer, EngineProfiler):
+    for cls in (FlowTracer, QueueSampler, Tracer, EngineProfiler):
         assert issubclass(cls, Collector)
 
 

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.metrics.queue_sampler import QueueSampler
 from repro.net.packet import make_data_packet
 from repro.net.topology import build_star
 from repro.sim.engine import Simulator
 from repro.sim.units import US
+from repro.telemetry.collector import QueueSampler
+from repro.telemetry.taxonomy import Summary, cdf_at
 
 from .helpers import intern
 
@@ -74,9 +75,10 @@ class TestPostProcessing:
         return sampler
 
     def test_cdf(self):
-        values, probs = self._sampled().cdf()
-        assert probs[-1] == 1.0
-        assert values[0] == 0
+        samples = self._sampled().samples
+        probs = cdf_at(samples, sorted(samples))
+        assert probs == [0.25, 0.5, 0.75, 1.0]
+        assert cdf_at(samples, [-1])[0] == 0.0
 
     def test_time_series_kb(self):
         t, q = self._sampled().time_series_kb()
@@ -84,12 +86,14 @@ class TestPostProcessing:
         assert t[1] == pytest.approx(0.1)
 
     def test_mean_and_percentile(self):
-        sampler = self._sampled()
-        assert sampler.mean_occupancy_bytes() == pytest.approx(1792.0)
-        assert sampler.percentile_bytes(100) == 4096
+        s = Summary.of(self._sampled().samples)
+        assert s.mean == pytest.approx(1792.0)
+        assert s.maximum == 4096
 
     def test_empty(self):
         sim, tree, port = setup()
         sampler = QueueSampler(sim, port)
-        assert sampler.mean_occupancy_bytes() == 0.0
-        assert sampler.percentile_bytes(99) == 0.0
+        assert sampler.samples.size == 0
+        assert sampler.rows() == []
+        t, q = sampler.time_series_kb()
+        assert t.size == 0 and q.size == 0

@@ -3,20 +3,21 @@
 import pytest
 
 from repro.core.dctcp_plus import DctcpPlusSender
-from repro.metrics.timeline import SAMPLED_FIELDS, FlowTracer
 from repro.net.topology import build_star
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
 from repro.tcp.config import TcpConfig
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
+from repro.telemetry.collector import SAMPLED_FIELDS, FlowTracer
+from repro.telemetry.tracer import Tracer
 from repro.workloads.ids import next_flow_id
 
 MSS = 1460
 
 
-def traced_flow(sender_cls=TcpSender, total=40 * MSS, deliver=True, **cfg):
-    sim = Simulator(seed=2)
+def traced_flow(sender_cls=TcpSender, total=40 * MSS, deliver=True, tracer=None, **cfg):
+    sim = Simulator(seed=2, tracer=tracer)
     tree = build_star(sim, n_senders=1)
     flow = next_flow_id()
     if deliver:
@@ -95,10 +96,11 @@ class TestSampling:
 
 class TestEvents:
     def test_timeout_event_captured(self):
-        # black hole (no receiver): the RTO fires and is traced
-        sim, sender, tracer = traced_flow(deliver=False)
+        # black hole (no receiver): the RTO fires and the Tracer records it
+        events = Tracer()
+        sim, sender, _ = traced_flow(deliver=False, tracer=events)
         sim.run(until=20 * MS)
-        timeouts = tracer.events_of("timeout")
+        timeouts = events.of_kind("rto")
         assert len(timeouts) >= 1
         assert timeouts[0].detail in ("FLoss-TO", "LAck-TO")
 
@@ -124,5 +126,7 @@ class TestExport:
         sim.run(until=500_000)
         csv_text = tracer.to_csv()
         lines = csv_text.splitlines()
-        assert lines[0].startswith("time_us,cwnd_mss")
+        assert lines[0] == "time_us," + ",".join(SAMPLED_FIELDS)
         assert len(lines) == len(tracer.times_ns) + 1
+        assert lines[2].split(",")[0] == "100.000"  # time in us, 3 decimals
+        assert lines[2].split(",")[-1] == "0"  # state code printed as an int
