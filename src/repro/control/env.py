@@ -382,16 +382,13 @@ class ControlEnv:
                     )
                 break
             before = sim.events_processed
-            sim.run(stop_when=self._finished, max_events=self.max_events)
+            wl.run_to_completion(max_events=self.max_events)
             if not self._pending and not wl.finished and sim.events_processed == before:
                 raise RuntimeError(
                     "simulation stalled before reaching a step boundary "
                     "(event queue drained or max_events exhausted)"
                 )
         return self._pending.popleft()
-
-    def _finished(self) -> bool:
-        return self.workload.finished
 
     def _apply(self, action: Action, flow: int) -> None:
         bridge = self._bridge_by_flow[flow]

@@ -44,7 +44,6 @@ class Host(Node):
         "_pool_free",
         "_flows",
         "_dispatch",
-        "_dispatch_get",
         "undeliverable_packets",
     )
 
@@ -60,7 +59,6 @@ class Host(Node):
         # delivery is one dict probe + one call.  Kept in lockstep with
         # _flows by register/unregister (endpoints never rebind on_packet).
         self._dispatch: Dict[int, Callable[[int], None]] = {}
-        self._dispatch_get = self._dispatch.get
         self.undeliverable_packets = 0
 
     def attach_link(self, link: Link, nic_buffer_bytes: int = DEFAULT_NIC_BUFFER_BYTES) -> None:
@@ -86,8 +84,9 @@ class Host(Node):
         return self.nic.send(h)
 
     def receive(self, h: int) -> None:
-        on_packet = self._dispatch_get(self._flow_col[h])
-        if on_packet is None:
+        try:
+            on_packet = self._dispatch[self._flow_col[h]]
+        except KeyError:
             # End of the line for a packet nobody claims: count and free.
             self.undeliverable_packets += 1
             self._pool_free(h)

@@ -6,9 +6,18 @@ serialization finishes the frame is handed to the link for propagation and
 the next queued frame (if any) starts serializing.
 
 Every packet in every experiment crosses several ports, so the pump binds
-its collaborators (queue ops, wire-size column, link delay lookup,
+its collaborators (queue ops, wire-size column, the link's delay memo,
 scheduler) once at construction instead of chasing attributes per packet,
 and it moves packet *handles* (see :mod:`repro.net.pool`), never objects.
+
+A frame admitted to an idle port with nothing queued and no enqueue
+observer cuts through: it is counted in and out of the queue at once and
+goes straight to serialization, never touching the backlog deque.  That
+is exact because an idle port's occupancy is 0, so no marking rule
+(``occupancy > threshold``) can fire; the finish event is pushed at the
+same time, in the same order, as the queued path would push it.  An
+``on_enqueue`` observer keeps the queued path, so it still sees the
+occupancy that includes the arriving frame (DESIGN.md §8.5).
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ class OutputPort:
         "_backlog",
         "_wire",
         "_ser_delay",
-        "_ser_get",
+        "_ser_ns",
         "_propagate",
         "_schedule",
         "_push_light",
@@ -113,9 +122,9 @@ class OutputPort:
         """
         self._link = link
         self._ser_delay = link.serialization_delay
-        # Fast path for the delay lookup: probe the link's memo dict
-        # directly and only fall back to the computing method on a miss.
-        self._ser_get = link._ser_ns.get
+        # Fast path for the delay lookup: subscript the link's memo dict
+        # directly and only call the computing method on a miss.
+        self._ser_ns = link._ser_ns
         self._propagate = link.propagate
         if link.__class__ is Link and link.dst is not None:
             # A plain link is pure bookkeeping + a constant-delay hop, so
@@ -169,7 +178,23 @@ class OutputPort:
                 q.on_drop(h)
             q._pool_free(h)
             return False
-        self._backlog.append(h)
+        backlog = self._backlog
+        if not self._busy and not backlog and q.on_enqueue is None:
+            # Cut-through at an idle port: the frame enters and leaves the
+            # queue in the same instant (occupancy stays 0) and starts
+            # serializing, exactly as _start_next would have started it.
+            q.enqueued_packets += 1
+            q.enqueued_bytes += wire_bytes
+            q.dequeued_packets += 1
+            q.dequeued_bytes += wire_bytes
+            self._busy = True
+            try:
+                delay = self._ser_ns[wire_bytes]
+            except KeyError:
+                delay = self._ser_delay(wire_bytes)
+            self._push_light(self.sim.now + delay, self._finish, h)
+            return True
+        backlog.append(h)
         q.occupancy_bytes = occupancy + wire_bytes
         q.enqueued_packets += 1
         q.enqueued_bytes += wire_bytes
@@ -201,8 +226,9 @@ class OutputPort:
             h = self._dequeue()
             wire_bytes = self._wire[h]
         self._busy = True
-        delay = self._ser_get(wire_bytes)
-        if delay is None:
+        try:
+            delay = self._ser_ns[wire_bytes]
+        except KeyError:
             delay = self._ser_delay(wire_bytes)
         self._push_light(self.sim.now + delay, self._finish, h)
 
@@ -242,8 +268,9 @@ class OutputPort:
         else:
             nxt = self._dequeue()
             wire_bytes = self._wire[nxt]
-        delay = self._ser_get(wire_bytes)
-        if delay is None:
+        try:
+            delay = self._ser_ns[wire_bytes]
+        except KeyError:
             delay = self._ser_delay(wire_bytes)
         push(now + delay, self._finish, nxt)
 

@@ -181,8 +181,9 @@ class SharedBufferSwitch(Node):
         return self._ecmp.get(dst_node_id)
 
     def receive(self, h: int) -> None:
-        port = self._routes.get(self._dst_col[h])
-        if port is None:
+        try:
+            port = self._routes[self._dst_col[h]]
+        except KeyError:
             self.unroutable_drops += 1
             self._pkt_free(h)
             return

@@ -105,7 +105,6 @@ class Switch(Node):
         "_pool_free",
         "_routes",
         "_sends",
-        "_sends_get",
         "_ecmp",
         "_flow_ord",
         "buffer_bytes",
@@ -131,7 +130,6 @@ class Switch(Node):
         # send(), so the per-packet hop is one dict probe + one call with
         # no attribute chase.  Kept in lockstep with _routes by add_route.
         self._sends: Dict[int, Callable[[int], bool]] = {}
-        self._sends_get = self._sends.get
         # ECMP groups: destination -> the tuple of equal-cost candidate
         # ports (empty dict on single-path switches; the fast path above
         # is untouched unless add_ecmp_group installs a selector).
@@ -204,8 +202,9 @@ class Switch(Node):
         return self._ecmp.get(dst_node_id)
 
     def receive(self, h: int) -> None:
-        send = self._sends_get(self._dst_col[h])
-        if send is None:
+        try:
+            send = self._sends[self._dst_col[h]]
+        except KeyError:
             # Mirrors a real switch's behaviour for an unknown unicast
             # destination with learning disabled: count, drop, free.
             self.unroutable_drops += 1

@@ -14,8 +14,10 @@ uses:
   the bytes DCTCP itself counts);
 - the queue high-water mark rides the :class:`~repro.net.queues.DropTailQueue`
   ``on_enqueue`` channel, which both port send paths already test for
-  ``None`` per packet — chaining a closure there costs nothing when no
-  assembler is attached;
+  ``None`` per packet — chaining a watcher there costs nothing when no
+  assembler is attached, and every assembler watching one queue shares
+  a single watcher, so an enqueue costs one call however many flows
+  are controlled;
 - timeout taxonomy counts (FLoss-TO / LAck-TO) come from the flow's
   :class:`~repro.tcp.flowstats.FlowStats` record.
 
@@ -26,7 +28,7 @@ it never perturbs a simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..tcp.timeouts import TimeoutKind
 
@@ -70,6 +72,41 @@ class Observation:
     done: bool = False
 
 
+class _QueuePeak:
+    """The one ``on_enqueue`` watcher of a queue, shared by its assemblers.
+
+    It keeps a single peak; each snapshot folds that peak into every
+    assembler's own high-water mark and resets it, so each assembler still
+    reports the peak occupancy since *its* previous observation.
+    """
+
+    __slots__ = ("queue", "peak", "assemblers", "_prev")
+
+    def __init__(self, queue: "DropTailQueue") -> None:
+        self.queue = queue
+        self.peak = 0
+        self.assemblers: List["ObservationAssembler"] = []
+        # Chains any previously installed observer, mirroring the
+        # telemetry hook registry's convention.
+        self._prev = queue.on_enqueue
+        queue.on_enqueue = self.on_enqueue
+
+    def on_enqueue(self, handle: int) -> None:
+        occupancy = self.queue.occupancy_bytes
+        if occupancy > self.peak:
+            self.peak = occupancy
+        if self._prev is not None:
+            self._prev(handle)
+
+    def fold(self) -> None:
+        peak = self.peak
+        if peak:
+            for assembler in self.assemblers:
+                if peak > assembler._highwater:
+                    assembler._highwater = peak
+            self.peak = 0
+
+
 class ObservationAssembler:
     """Builds :class:`Observation` records for one controlled flow.
 
@@ -78,30 +115,26 @@ class ObservationAssembler:
     so observations for different flows don't steal each other's peaks).
     """
 
-    __slots__ = ("_queue", "_highwater", "_step")
+    __slots__ = ("_watch", "_highwater", "_step")
 
     def __init__(self) -> None:
-        self._queue: Optional["DropTailQueue"] = None
+        self._watch: Optional[_QueuePeak] = None
         self._highwater = 0
         self._step = 0
 
     def watch_queue(self, queue: "DropTailQueue") -> None:
         """Track ``queue``'s occupancy peaks via its enqueue channel.
 
-        Chains any previously installed ``on_enqueue`` observer, mirroring
-        the telemetry hook registry's convention.
+        Joins the queue's existing watcher if another assembler installed
+        one; otherwise installs it, chaining any previous observer.
         """
-        self._queue = queue
-        prev = queue.on_enqueue
-
-        def _on_enqueue(handle: int, _q=queue, _prev=prev) -> None:
-            occupancy = _q.occupancy_bytes
-            if occupancy > self._highwater:
-                self._highwater = occupancy
-            if _prev is not None:
-                _prev(handle)
-
-        queue.on_enqueue = _on_enqueue
+        watch = getattr(queue.on_enqueue, "__self__", None)
+        if watch.__class__ is not _QueuePeak:
+            watch = _QueuePeak(queue)
+        # Peaks seen before this assembler joined belong to the others.
+        watch.fold()
+        watch.assemblers.append(self)
+        self._watch = watch
         self._highwater = queue.occupancy_bytes
 
     def snapshot(
@@ -113,6 +146,9 @@ class ObservationAssembler:
         done: bool = False,
     ) -> Observation:
         """Close the current window and emit its observation."""
+        watch = self._watch
+        if watch is not None:
+            watch.fold()
         stats = sender.stats
         srtt = sender.rtt.srtt_ns
         obs = Observation(
@@ -132,6 +168,5 @@ class ObservationAssembler:
             done=done,
         )
         self._step += 1
-        queue = self._queue
-        self._highwater = queue.occupancy_bytes if queue is not None else 0
+        self._highwater = watch.queue.occupancy_bytes if watch is not None else 0
         return obs

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from repro.control import Action, ControlEnv
+from repro.control import Action, ControlEnv, ObservationAssembler
 from repro.exec.executors import ParallelExecutor, SerialExecutor
 from repro.exec.scenario import ScenarioSpec, run_scenario
 
@@ -82,6 +82,65 @@ def test_observation_stream_is_plausible():
     assert all(o.time_ns >= p.time_ns for p, o in zip(observations, observations[1:]))
     assert summary["goodput_mbps"] > 0
     assert summary["rounds"] == 2.0
+
+
+def test_one_shared_queue_watcher_matches_per_flow_closures(monkeypatch):
+    """Sixteen controlled flows share one enqueue watcher on the bottleneck
+    queue, and each still reports the peak since its own last observation:
+    the stream equals a reference that chains one closure per flow."""
+    kwargs = dict(n_flows=16, rounds=2, seed=1, controlled=tuple(range(16)))
+
+    def agent(obs):
+        if obs.queue_highwater_bytes > 24_000:
+            return Action(cwnd_scale=0.5)
+        if obs.step % 4 == 1:
+            return Action(pacing_interval_ns=20_000)
+        return None
+
+    def run():
+        env = ControlEnv(**kwargs)
+        observations = [env.reset()]
+        queue = env.workload.tree.bottleneck_port.queue
+        while not observations[-1].done:
+            observations.append(env.step(agent(observations[-1])))
+        env.close()
+        return observations, queue
+
+    observations, queue = run()
+    watcher = queue.on_enqueue.__self__
+    assert watcher._prev is None
+    assert len(watcher.assemblers) == 16
+
+    # Reference: the per-assembler closure chain, reimplemented here.
+    reference = {}
+    snapshot = ObservationAssembler.snapshot
+
+    def chained_watch(self, queue):
+        state = reference[self] = [queue, queue.occupancy_bytes]
+        prev = queue.on_enqueue
+
+        def _on_enqueue(handle, _q=queue, _prev=prev):
+            if _q.occupancy_bytes > state[1]:
+                state[1] = _q.occupancy_bytes
+            if _prev is not None:
+                _prev(handle)
+
+        queue.on_enqueue = _on_enqueue
+
+    def chained_snapshot(self, sender, flow, acked, marked, done=False):
+        obs = snapshot(self, sender, flow, acked, marked, done)
+        state = reference[self]
+        obs.queue_highwater_bytes = state[1]
+        state[1] = state[0].occupancy_bytes
+        return obs
+
+    monkeypatch.setattr(ObservationAssembler, "watch_queue", chained_watch)
+    monkeypatch.setattr(ObservationAssembler, "snapshot", chained_snapshot)
+    expected, _ = run()
+    assert len(reference) == 16
+    assert [vars(o) for o in observations] == [vars(o) for o in expected]
+    peaks = {o.queue_highwater_bytes for o in observations}
+    assert len(peaks) > 2 and max(peaks) > 24_000
 
 
 # -- autopilot equivalence ---------------------------------------------------------

@@ -1,13 +1,17 @@
 """Tests for links and output ports (serialization/propagation pump)."""
 
+from collections import deque
+
 import pytest
 
-from repro.net.link import Link
+from repro.net.faults import drop_nth, make_lossy
+from repro.net.link import DEFAULT_PROP_DELAY_NS, Link
 from repro.net.node import Node
 from repro.net.packet import make_data_packet
 from repro.net.pool import PacketPool
 from repro.net.port import OutputPort
 from repro.net.queues import DropTailQueue
+from repro.net.shared_buffer import SharedBufferSwitch, _PooledQueue
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS
 
@@ -130,3 +134,144 @@ class TestOutputPort:
         sim.run_until_idle()
         assert port.tx_packets == 4
         assert port.tx_bytes == 4 * 1500
+
+
+def _recording_port(sim, sink, **kwargs):
+    """A port whose scheduler pushes are logged as (time, callback, handle)."""
+    port = make_port(sim, sink, **kwargs)
+    pushes = []
+    push = port._push_light
+
+    def _record(time, callback, h):
+        pushes.append((time, callback, h))
+        push(time, callback, h)
+
+    port._push_light = _record
+    return port, pushes
+
+
+class _SpyDeque(deque):
+    """The backlog deque, counting every append and popleft."""
+
+    def __init__(self):
+        super().__init__()
+        self.ops = 0
+
+    def append(self, h):
+        self.ops += 1
+        super().append(h)
+
+    def popleft(self):
+        self.ops += 1
+        return super().popleft()
+
+
+class TestIdlePortCutThrough:
+    """A frame admitted to an idle port goes straight to serialization."""
+
+    def test_idle_admission_bypasses_the_backlog(self):
+        sim = Simulator()
+        sink = Sink(sim)
+        port = make_port(sim, sink)
+        q = port.queue
+        spy = q._queue = port._backlog = _SpyDeque()
+        assert port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460)))
+        assert spy.ops == 0 and not spy
+        assert q.occupancy_bytes == 0
+        assert q.enqueued_packets == q.dequeued_packets == 1
+        assert q.enqueued_bytes == q.dequeued_bytes == 1500
+        assert port._busy
+        # The next arrival finds the port busy and queues behind it.
+        assert port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=1, payload_len=1460)))
+        assert spy.ops == 1 and q.occupancy_bytes == 1500
+        sim.run_until_idle()
+        assert [t for t, _ in sink.arrivals] == [22_000, 34_000]
+
+    def test_finish_is_pushed_exactly_as_the_queued_path_pushes_it(self):
+        # Same arrivals, one port cut-through and one forced onto the queued
+        # path by an enqueue observer: identical pushes and deliveries.
+        logs = []
+        for observed in (False, True):
+            sim = Simulator()
+            sink = Sink(sim)
+            port, pushes = _recording_port(sim, sink)
+            if observed:
+                port.queue.on_enqueue = lambda h: None
+            for at, seq, size in ((0, 0, 1460), (5_000, 1, 100), (60_000, 2, 1460)):
+                sim.at(
+                    at,
+                    lambda s=seq, n=size: port.send(
+                        intern(sim, make_data_packet(1, 0, sink.node_id, seq=s, payload_len=n))
+                    ),
+                )
+            sim.run_until_idle()
+            logs.append(
+                ([(t, cb.__name__, h) for t, cb, h in pushes], sink.arrivals, port.tx_packets)
+            )
+        assert logs[0] == logs[1]
+        pushes = logs[0][0]
+        assert pushes[0] == (12_000, "_finish_tx", pushes[0][2])
+
+    def test_frame_larger_than_the_buffer_still_drops_at_an_idle_port(self):
+        sim = Simulator()
+        sink = Sink(sim)
+        port = make_port(sim, sink, capacity=1000)
+        pool = PacketPool.of(sim)
+        h = intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460))
+        assert not port.send(h)
+        q = port.queue
+        assert q.dropped_packets == 1 and q.dropped_bytes == 1500
+        assert q.enqueued_packets == q.dequeued_packets == 0
+        assert not port._busy
+        assert not pool.live[h]
+        sim.run_until_idle()
+        assert sink.arrivals == []
+
+    def test_enqueue_observer_sees_the_arriving_frame(self):
+        sim = Simulator()
+        sink = Sink(sim)
+        port = make_port(sim, sink)
+        q = port.queue
+        seen = []
+        q.on_enqueue = lambda h: seen.append(q.occupancy_bytes)
+        port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460)))
+        port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=1, payload_len=1460)))
+        assert seen == [1500, 1500]
+        sim.run_until_idle()
+        assert len(sink.arrivals) == 2
+
+    def test_pooled_queue_takes_the_indirect_path(self, monkeypatch):
+        calls = []
+        enqueue = _PooledQueue.enqueue
+
+        def _counting(self, h):
+            calls.append(h)
+            return enqueue(self, h)
+
+        monkeypatch.setattr(_PooledQueue, "enqueue", _counting)
+        sim = Simulator()
+        switch = SharedBufferSwitch(sim, "sw", shared_pool_bytes=64 * 1024)
+        sink = Sink(sim)
+        port = switch.add_port(Link(sink))
+        assert not port._plain_queue
+        h = intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460))
+        assert port.send(h)
+        assert calls == [h]
+        sim.run_until_idle()
+        assert [t for t, _ in sink.arrivals] == [12_000 + DEFAULT_PROP_DELAY_NS]
+        assert switch.pool_occupancy_bytes == 0
+
+    def test_spliced_faulty_link_takes_the_indirect_path(self):
+        sim = Simulator()
+        sink = Sink(sim)
+        port = make_port(sim, sink)
+        port.link = make_lossy(port.link, drop_nth(0))
+        assert port._finish == port._finish_tx_indirect
+        for i in range(2):
+            port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=i, payload_len=1460)))
+        sim.run_until_idle()
+        # The first frame cut through the idle port and still met the
+        # faulty link's propagate, which dropped it.
+        assert port.link.offered_packets == 2 and port.link.injected_drops == 1
+        assert [t for t, _ in sink.arrivals] == [34_000]
+        assert port.tx_packets == 2
