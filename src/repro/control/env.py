@@ -288,8 +288,9 @@ class ControlEnv:
             n_flows=self.n_flows, n_rounds=self.rounds, **self.incast_overrides
         )
         self.workload = IncastWorkload(sim, tree, wrapped, config)
+        peers: list = []
         for bridge in self._bridges:
-            bridge.assembler.watch_queue(tree.bottleneck_port.queue)
+            bridge.assembler.watch_queue(tree.bottleneck_port.queue, peers)
         self.workload.start()
         self._started = True
         self._last_obs = self._advance()

@@ -10,14 +10,14 @@ its collaborators (queue ops, wire-size column, the link's delay memo,
 scheduler) once at construction instead of chasing attributes per packet,
 and it moves packet *handles* (see :mod:`repro.net.pool`), never objects.
 
-A frame admitted to an idle port with nothing queued and no enqueue
-observer cuts through: it is counted in and out of the queue at once and
-goes straight to serialization, never touching the backlog deque.  That
-is exact because an idle port's occupancy is 0, so no marking rule
-(``occupancy > threshold``) can fire; the finish event is pushed at the
-same time, in the same order, as the queued path would push it.  An
-``on_enqueue`` observer keeps the queued path, so it still sees the
-occupancy that includes the arriving frame (DESIGN.md §8.5).
+A frame admitted to an idle port with nothing queued cuts through: it is
+counted in and out of the queue at once and goes straight to
+serialization, never touching the backlog deque.  That is exact because
+an idle port's occupancy is 0, so no marking rule (``occupancy >
+threshold``) can fire; the finish event is pushed at the same time, in
+the same order, as the queued path would push it.  Every admit path also
+writes the queue's peak field inline, counting the arriving frame; no
+observer rides on admission (DESIGN.md §8.5).
 """
 
 from __future__ import annotations
@@ -146,16 +146,20 @@ class OutputPort:
         Returns False when the queue dropped the packet (the handle is
         freed by the queue in that case and must not be used again).
         """
+        q = self.queue
         if not self._plain_queue:
             if not self._enqueue(h):
                 return False
+            occupancy = q.occupancy_bytes
+            if occupancy > q.peak_bytes:
+                q.peak_bytes = occupancy
+                q.peak_ns = self.sim.now
             if not self._busy:
                 self._start_next()
             return True
         # Inlined DropTailQueue.enqueue (keep in sync with queues.py):
         # ECN/INC marking against the occupancy the arriving packet sees,
         # then drop-tail admission.
-        q = self.queue
         flags_col = q._flags
         occupancy = q.occupancy_bytes
         wire_bytes = self._wire[h]
@@ -179,7 +183,7 @@ class OutputPort:
             q._pool_free(h)
             return False
         backlog = self._backlog
-        if not self._busy and not backlog and q.on_enqueue is None:
+        if not self._busy and not backlog:
             # Cut-through at an idle port: the frame enters and leaves the
             # queue in the same instant (occupancy stays 0) and starts
             # serializing, exactly as _start_next would have started it.
@@ -187,19 +191,25 @@ class OutputPort:
             q.enqueued_bytes += wire_bytes
             q.dequeued_packets += 1
             q.dequeued_bytes += wire_bytes
+            now = self.sim.now
+            if wire_bytes > q.peak_bytes:
+                q.peak_bytes = wire_bytes
+                q.peak_ns = now
             self._busy = True
             try:
                 delay = self._ser_ns[wire_bytes]
             except KeyError:
                 delay = self._ser_delay(wire_bytes)
-            self._push_light(self.sim.now + delay, self._finish, h)
+            self._push_light(now + delay, self._finish, h)
             return True
         backlog.append(h)
-        q.occupancy_bytes = occupancy + wire_bytes
+        occupancy += wire_bytes
+        q.occupancy_bytes = occupancy
         q.enqueued_packets += 1
         q.enqueued_bytes += wire_bytes
-        if q.on_enqueue is not None:
-            q.on_enqueue(h)
+        if occupancy > q.peak_bytes:
+            q.peak_bytes = occupancy
+            q.peak_ns = self.sim.now
         if not self._busy:
             self._start_next()
         return True

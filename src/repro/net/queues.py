@@ -37,14 +37,17 @@ class DropTailQueue:
         Mark incoming ECT packets CE when current occupancy (before the new
         packet is admitted) is at or above this threshold.  ``None`` disables
         marking (plain drop-tail, used for host NIC queues).
-    on_drop / on_mark / on_enqueue:
-        Optional instrumentation callbacks invoked with the packet handle
-        (``on_enqueue`` fires after a successful admit, once occupancy
-        reflects the new packet; the telemetry layer's queue
-        high-watermark tracking hangs off it).  ``on_drop`` fires while the
-        dropped handle is still live; the queue frees it right after.
+    on_drop / on_mark:
+        Optional instrumentation callbacks invoked with the packet handle.
+        ``on_drop`` fires while the dropped handle is still live; the queue
+        frees it right after.
     pool:
         The owning simulation's :class:`~repro.net.pool.PacketPool`.
+
+    ``peak_bytes`` / ``peak_ns`` is the one occupancy peak (counting the
+    arriving frame) and when it was first reached, written inline by the
+    owning :class:`~repro.net.port.OutputPort` (the queue has no clock).
+    A reader that wants a window (ControlEnv) resets ``peak_bytes`` to 0.
     """
 
     __slots__ = (
@@ -67,7 +70,8 @@ class DropTailQueue:
         "dropped_bytes",
         "on_drop",
         "on_mark",
-        "on_enqueue",
+        "peak_bytes",
+        "peak_ns",
     )
 
     def __init__(
@@ -76,7 +80,6 @@ class DropTailQueue:
         ecn_threshold_bytes: Optional[int] = DEFAULT_ECN_THRESHOLD,
         on_drop: Optional[Callable[[int], None]] = None,
         on_mark: Optional[Callable[[int], None]] = None,
-        on_enqueue: Optional[Callable[[int], None]] = None,
         *,
         pool: PacketPool,
     ):
@@ -107,7 +110,8 @@ class DropTailQueue:
         self.dropped_bytes = 0
         self.on_drop = on_drop
         self.on_mark = on_mark
-        self.on_enqueue = on_enqueue
+        self.peak_bytes = 0
+        self.peak_ns = 0
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -148,8 +152,6 @@ class DropTailQueue:
         self.occupancy_bytes = occupancy + wire_bytes
         self.enqueued_packets += 1
         self.enqueued_bytes += wire_bytes
-        if self.on_enqueue is not None:
-            self.on_enqueue(h)
         return True
 
     def dequeue(self) -> Optional[int]:

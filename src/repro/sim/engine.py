@@ -307,7 +307,8 @@ class Simulator:
         inline every ``checker.sweep_every`` events and once more when the
         call returns; an attached profiler times every callback and is
         told every same-timestamp batch.  Neither schedules anything, so
-        observed runs dispatch the exact event sequence of plain ones.
+        observed runs dispatch the exact event sequence of plain ones.  On
+        return, an attached tracer records each queue peak that rose.
         """
         queue = self.queue
         core = self._core
@@ -454,6 +455,8 @@ class Simulator:
                 profiler.record_run(processed, perf_counter() - wall_started)
         if checker is not None:
             checker.sweep()
+        if self.tracer is not None:
+            self.tracer.run_ended()
         if (
             until is not None
             and self.now < until

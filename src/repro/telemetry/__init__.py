@@ -4,8 +4,10 @@ One layer shared by experiments, bench and fuzz runs:
 
 - :class:`Tracer` + :class:`TraceRecord` — typed, append-only event
   records (drops, marks, retransmits, RTOs with FLoss/LAck classification,
-  slow_time machine activity, queue high-watermarks) fed by cheap engine
-  hook points; strictly zero-cost when tracing is off.
+  slow_time machine activity) fed by cheap engine hook points, plus one
+  ``queue_hwm`` record per queue per run read off the queue's inline peak
+  field (``DropTailQueue.peak_bytes``, the one peak; ControlEnv's
+  observations read it too); strictly zero-cost when tracing is off.
 - :class:`HookRegistry` — the single fan-out point those hook points talk
   to; the invariant checker and the tracer are both plain subscribers.
 - :class:`Collector` / :class:`PeriodicCollector` — the start/stop +

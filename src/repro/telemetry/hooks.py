@@ -13,9 +13,10 @@ Cost model (the part PR 3 cares about):
 - ``sim.hooks`` is ``None`` unless validation or tracing is active, so the
   unobserved path pays exactly one attribute test per *component
   construction* and nothing per packet.
-- The per-enqueue chain (needed only for queue high-watermarks) is
-  installed only when a subscriber sets ``wants_enqueue`` — the checker
-  does not, so validated-only runs keep enqueue untouched.
+- Admission has no hook at all: a queue's occupancy peak is a field the
+  port writes inline (``DropTailQueue.peak_bytes``), which a subscriber
+  reads off the queue handed to ``register_queue``.  Observing a run
+  never takes a port off its idle cut-through.
 - Subscribers must be registered before components are built; the
   :class:`~repro.sim.engine.Simulator` constructor guarantees this.
 
@@ -25,10 +26,10 @@ Subscriber protocol (all methods optional — implement what you observe)::
     register_switch(switch)
     register_sender(sender)
     register_receiver(receiver)
+    register_queue(queue, name)         a port's queue, under its trace name
     attach_machine(machine, sender)     slow_time machine created
     queue_dropped(queue, name, packet)  per-event queue instrumentation
     queue_marked(queue, name, packet)
-    queue_enqueued(queue, name, packet) only if wants_enqueue = True
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ class HookRegistry:
     def port_created(self, port: "OutputPort") -> None:
         self._dispatch("register_port", port)
         self._queues_watched += 1
-        self._watch_queue(port.queue, port.name or f"queue#{self._queues_watched}")
+        name = port.name or f"queue#{self._queues_watched}"
+        self._dispatch("register_queue", port.queue, name)
+        self._watch_queue(port.queue, name)
 
     def switch_created(self, switch: "SharedBufferSwitch") -> None:
         self._dispatch("register_switch", switch)
@@ -111,20 +114,6 @@ class HookRegistry:
                     _prev(packet)
 
             queue.on_mark = _on_mark
-
-        enqueue_subs = tuple(
-            s for s in self.subscribers if getattr(s, "wants_enqueue", False)
-        )
-        if enqueue_subs:
-            prev_enq = queue.on_enqueue
-
-            def _on_enqueue(packet, _subs=enqueue_subs, _q=queue, _n=name, _prev=prev_enq):
-                for s in _subs:
-                    s.queue_enqueued(_q, _n, packet)
-                if _prev is not None:
-                    _prev(packet)
-
-            queue.on_enqueue = _on_enqueue
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         names = ", ".join(type(s).__name__ for s in self.subscribers)

@@ -12,12 +12,12 @@ uses:
 - the per-window marked fraction comes from the CC event stream (the
   bridge policy accumulates ``newly_acked``/``ece`` per window, exactly
   the bytes DCTCP itself counts);
-- the queue high-water mark rides the :class:`~repro.net.queues.DropTailQueue`
-  ``on_enqueue`` channel, which both port send paths already test for
-  ``None`` per packet — chaining a watcher there costs nothing when no
-  assembler is attached, and every assembler watching one queue shares
-  a single watcher, so an enqueue costs one call however many flows
-  are controlled;
+- the queue high-water mark is the :class:`~repro.net.queues.DropTailQueue`
+  peak field (``peak_bytes``) that the port writes inline on every
+  admit, so watching a queue costs nothing per packet.  Each snapshot
+  folds the field into every assembler watching the queue and resets
+  it, so each assembler still reports the peak since its own previous
+  observation;
 - timeout taxonomy counts (FLoss-TO / LAck-TO) come from the flow's
   :class:`~repro.tcp.flowstats.FlowStats` record.
 
@@ -72,39 +72,15 @@ class Observation:
     done: bool = False
 
 
-class _QueuePeak:
-    """The one ``on_enqueue`` watcher of a queue, shared by its assemblers.
-
-    It keeps a single peak; each snapshot folds that peak into every
-    assembler's own high-water mark and resets it, so each assembler still
-    reports the peak occupancy since *its* previous observation.
-    """
-
-    __slots__ = ("queue", "peak", "assemblers", "_prev")
-
-    def __init__(self, queue: "DropTailQueue") -> None:
-        self.queue = queue
-        self.peak = 0
-        self.assemblers: List["ObservationAssembler"] = []
-        # Chains any previously installed observer, mirroring the
-        # telemetry hook registry's convention.
-        self._prev = queue.on_enqueue
-        queue.on_enqueue = self.on_enqueue
-
-    def on_enqueue(self, handle: int) -> None:
-        occupancy = self.queue.occupancy_bytes
-        if occupancy > self.peak:
-            self.peak = occupancy
-        if self._prev is not None:
-            self._prev(handle)
-
-    def fold(self) -> None:
-        peak = self.peak
-        if peak:
-            for assembler in self.assemblers:
-                if peak > assembler._highwater:
-                    assembler._highwater = peak
-            self.peak = 0
+def _fold_peak(queue: "DropTailQueue", assemblers: List["ObservationAssembler"]) -> None:
+    """Fold ``queue``'s peak field into every assembler watching it, then
+    reset the field: the one reset owner of a watched queue."""
+    peak = queue.peak_bytes
+    if peak:
+        for assembler in assemblers:
+            if peak > assembler._highwater:
+                assembler._highwater = peak
+        queue.peak_bytes = 0
 
 
 class ObservationAssembler:
@@ -115,26 +91,25 @@ class ObservationAssembler:
     so observations for different flows don't steal each other's peaks).
     """
 
-    __slots__ = ("_watch", "_highwater", "_step")
+    __slots__ = ("_queue", "_peers", "_highwater", "_step")
 
     def __init__(self) -> None:
-        self._watch: Optional[_QueuePeak] = None
+        self._queue: Optional["DropTailQueue"] = None
+        self._peers: List["ObservationAssembler"] = []
         self._highwater = 0
         self._step = 0
 
-    def watch_queue(self, queue: "DropTailQueue") -> None:
-        """Track ``queue``'s occupancy peaks via its enqueue channel.
+    def watch_queue(self, queue: "DropTailQueue", peers: List["ObservationAssembler"]) -> None:
+        """Track ``queue``'s occupancy peaks via its peak field.
 
-        Joins the queue's existing watcher if another assembler installed
-        one; otherwise installs it, chaining any previous observer.
+        Every assembler watching one queue must be given the same ``peers``
+        list, because each snapshot resets the field after folding it into
+        all of them.  Peaks before this assembler joins go to the others.
         """
-        watch = getattr(queue.on_enqueue, "__self__", None)
-        if watch.__class__ is not _QueuePeak:
-            watch = _QueuePeak(queue)
-        # Peaks seen before this assembler joined belong to the others.
-        watch.fold()
-        watch.assemblers.append(self)
-        self._watch = watch
+        _fold_peak(queue, peers)
+        peers.append(self)
+        self._queue = queue
+        self._peers = peers
         self._highwater = queue.occupancy_bytes
 
     def snapshot(
@@ -146,9 +121,9 @@ class ObservationAssembler:
         done: bool = False,
     ) -> Observation:
         """Close the current window and emit its observation."""
-        watch = self._watch
-        if watch is not None:
-            watch.fold()
+        queue = self._queue
+        if queue is not None:
+            _fold_peak(queue, self._peers)
         stats = sender.stats
         srtt = sender.rtt.srtt_ns
         obs = Observation(
@@ -168,5 +143,5 @@ class ObservationAssembler:
             done=done,
         )
         self._step += 1
-        self._highwater = watch.queue.occupancy_bytes if watch is not None else 0
+        self._highwater = queue.occupancy_bytes if queue is not None else 0
         return obs

@@ -10,7 +10,8 @@ instead of per-figure ad-hoc probes.
 
 Cost model: when no tracer is attached, every hook point is a single
 ``is None`` test (senders) or entirely absent (queues — the dispatch
-chains are only installed on watched queues).  The tracer itself never
+chains are only installed on watched queues); queue peaks are read off
+``DropTailQueue.peak_bytes`` when a run returns.  The tracer itself never
 schedules simulator events, so event counts, golden digests and RNG
 draws are identical whether tracing is on or off.
 
@@ -44,7 +45,7 @@ EVENT_KINDS = (
     "rto",  # RTO fired (subject: flow, value: backoff, detail: FLoss/LAck)
     "state",  # slow_time machine transition (detail: "FROM->TO")
     "slow_time",  # slow_time value changed (value: slow_time ns)
-    "queue_hwm",  # new queue occupancy high-watermark (value: bytes)
+    "queue_hwm",  # queue peak risen during a run() (value: bytes, time: first reached)
 )
 
 
@@ -70,10 +71,6 @@ class Tracer(Collector):
     set (a trace that lies by omission must say so).
     """
 
-    #: HookRegistry flag: install the per-enqueue chain (needed for queue
-    #: high-watermarks).  Subscribers that don't set this keep enqueue free.
-    wants_enqueue = True
-
     def __init__(self, max_records: int = 2_000_000):
         if max_records <= 0:
             raise ValueError(f"max_records must be positive, got {max_records}")
@@ -81,7 +78,8 @@ class Tracer(Collector):
         self.records: List[TraceRecord] = []
         self.truncated = False
         self.sim: "Simulator" = None  # bound by Simulator.__init__
-        self._hwm: Dict["DropTailQueue", int] = {}
+        # [queue, name, peak last recorded] per registered queue.
+        self._queues: List[list] = []
         self._flow_labels: Dict[int, int] = {}
 
     def bind(self, sim: "Simulator") -> None:
@@ -123,11 +121,22 @@ class Tracer(Collector):
         flow_id = self.sim.pool.flow_id[h]
         self._emit("mark", name, queue.occupancy_bytes, f"flow={self._flow_label(flow_id)}")
 
-    def queue_enqueued(self, queue: "DropTailQueue", name: str, h: int) -> None:
-        occupancy = queue.occupancy_bytes
-        if occupancy > self._hwm.get(queue, -1):
-            self._hwm[queue] = occupancy
-            self._emit("queue_hwm", name, occupancy)
+    def register_queue(self, queue: "DropTailQueue", name: str) -> None:
+        self._queues.append([queue, name, 0])
+
+    def run_ended(self) -> None:
+        """Record each queue whose peak rose during the run (called by
+        :meth:`Simulator.run` on return).  The record carries the time the
+        peak was first reached; the field itself is left as it is."""
+        for entry in self._queues:
+            queue = entry[0]
+            peak = queue.peak_bytes
+            if peak > entry[2]:
+                entry[2] = peak
+                if len(self.records) >= self.max_records:
+                    self.truncated = True
+                    return
+                self.records.append(TraceRecord(queue.peak_ns, "queue_hwm", entry[1], peak))
 
     # -- sender hooks (called directly via sender._tracer) -----------------------
     def rto_fired(self, sender: "TcpSender", kind: "TimeoutKind") -> None:

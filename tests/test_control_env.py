@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from repro.control import Action, ControlEnv, ObservationAssembler
+from repro.control import Action, ControlEnv
 from repro.exec.executors import ParallelExecutor, SerialExecutor
 from repro.exec.scenario import ScenarioSpec, run_scenario
 
@@ -84,10 +84,13 @@ def test_observation_stream_is_plausible():
     assert summary["rounds"] == 2.0
 
 
-def test_one_shared_queue_watcher_matches_per_flow_closures(monkeypatch):
-    """Sixteen controlled flows share one enqueue watcher on the bottleneck
-    queue, and each still reports the peak since its own last observation:
-    the stream equals a reference that chains one closure per flow."""
+def test_one_shared_queue_watcher_matches_per_flow_closures():
+    """Sixteen controlled flows read one peak field on the bottleneck queue,
+    and each still reports the peak since its own last observation.  The
+    stream is pinned to the one a per-flow closure chain on every admit
+    produced (a reference that needed an enqueue callback, since deleted):
+    its length, first and last observations, and a digest of every field
+    of every observation."""
     kwargs = dict(n_flows=16, rounds=2, seed=1, controlled=tuple(range(16)))
 
     def agent(obs):
@@ -97,48 +100,29 @@ def test_one_shared_queue_watcher_matches_per_flow_closures(monkeypatch):
             return Action(pacing_interval_ns=20_000)
         return None
 
-    def run():
-        env = ControlEnv(**kwargs)
-        observations = [env.reset()]
-        queue = env.workload.tree.bottleneck_port.queue
-        while not observations[-1].done:
-            observations.append(env.step(agent(observations[-1])))
-        env.close()
-        return observations, queue
+    env = ControlEnv(**kwargs)
+    observations = [env.reset()]
+    while not observations[-1].done:
+        observations.append(env.step(agent(observations[-1])))
+    peers = env._bridges[0].assembler._peers
+    assert len(peers) == 16
+    assert all(bridge.assembler._peers is peers for bridge in env._bridges)
+    env.close()
 
-    observations, queue = run()
-    watcher = queue.on_enqueue.__self__
-    assert watcher._prev is None
-    assert len(watcher.assemblers) == 16
-
-    # Reference: the per-assembler closure chain, reimplemented here.
-    reference = {}
-    snapshot = ObservationAssembler.snapshot
-
-    def chained_watch(self, queue):
-        state = reference[self] = [queue, queue.occupancy_bytes]
-        prev = queue.on_enqueue
-
-        def _on_enqueue(handle, _q=queue, _prev=prev):
-            if _q.occupancy_bytes > state[1]:
-                state[1] = _q.occupancy_bytes
-            if _prev is not None:
-                _prev(handle)
-
-        queue.on_enqueue = _on_enqueue
-
-    def chained_snapshot(self, sender, flow, acked, marked, done=False):
-        obs = snapshot(self, sender, flow, acked, marked, done)
-        state = reference[self]
-        obs.queue_highwater_bytes = state[1]
-        state[1] = state[0].occupancy_bytes
-        return obs
-
-    monkeypatch.setattr(ObservationAssembler, "watch_queue", chained_watch)
-    monkeypatch.setattr(ObservationAssembler, "snapshot", chained_snapshot)
-    expected, _ = run()
-    assert len(reference) == 16
-    assert [vars(o) for o in observations] == [vars(o) for o in expected]
+    rows = [vars(o) for o in observations]
+    assert len(rows) == 1195
+    # time_ns, flow, step, cwnd, ssthresh, inflight, srtt_ns, alpha, acked,
+    # marked_fraction, queue_highwater_bytes, FLoss-TO, LAck-TO, done
+    assert tuple(rows[0].values()) == (
+        147072, 0, 0, 4380.0, 93440.0, 1460, 109536, 0.9375, 1460, 0.0, 1500, 0, 0, False
+    )
+    assert tuple(rows[-1].values()) == (
+        17477088, 0, 56, 2920.0, 2920.0, 0, 384009, 0.9580274642827508, 0, 0.0, 33844, 0, 0, True
+    )
+    blob = json.dumps(rows, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "fb217e025ce599f8f987e3b19ffa8085880eb302c85bb9f4414d68519f7f1964"
+    )
     peaks = {o.queue_highwater_bytes for o in observations}
     assert len(peaks) > 2 and max(peaks) > 24_000
 

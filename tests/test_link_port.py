@@ -189,14 +189,14 @@ class TestIdlePortCutThrough:
 
     def test_finish_is_pushed_exactly_as_the_queued_path_pushes_it(self):
         # Same arrivals, one port cut-through and one forced onto the queued
-        # path by an enqueue observer: identical pushes and deliveries.
+        # path through the indirect (non-inlined) admit: identical pushes,
+        # deliveries and queue peaks.
         logs = []
-        for observed in (False, True):
+        for indirect in (False, True):
             sim = Simulator()
             sink = Sink(sim)
             port, pushes = _recording_port(sim, sink)
-            if observed:
-                port.queue.on_enqueue = lambda h: None
+            port._plain_queue = not indirect
             for at, seq, size in ((0, 0, 1460), (5_000, 1, 100), (60_000, 2, 1460)):
                 sim.at(
                     at,
@@ -205,8 +205,14 @@ class TestIdlePortCutThrough:
                     ),
                 )
             sim.run_until_idle()
+            q = port.queue
             logs.append(
-                ([(t, cb.__name__, h) for t, cb, h in pushes], sink.arrivals, port.tx_packets)
+                (
+                    [(t, cb.__name__, h) for t, cb, h in pushes],
+                    sink.arrivals,
+                    port.tx_packets,
+                    (q.peak_bytes, q.peak_ns),
+                )
             )
         assert logs[0] == logs[1]
         pushes = logs[0][0]
@@ -227,18 +233,29 @@ class TestIdlePortCutThrough:
         sim.run_until_idle()
         assert sink.arrivals == []
 
-    def test_enqueue_observer_sees_the_arriving_frame(self):
+    @pytest.mark.parametrize("indirect", [False, True], ids=["inline", "indirect"])
+    def test_peak_counts_the_arriving_frame(self, indirect):
+        # The first frame cuts through (or, indirect, is queued and started
+        # at once): its peak is the frame itself.  Two more arrive while it
+        # serializes and queue behind it: the peak is the backlog they make.
         sim = Simulator()
         sink = Sink(sim)
         port = make_port(sim, sink)
+        port._plain_queue = not indirect
         q = port.queue
-        seen = []
-        q.on_enqueue = lambda h: seen.append(q.occupancy_bytes)
-        port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460)))
-        port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=1, payload_len=1460)))
-        assert seen == [1500, 1500]
+        peaks = []
+
+        def send(seq):
+            port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=seq, payload_len=1460)))
+            peaks.append((q.peak_bytes, q.peak_ns))
+
+        sim.at(0, send, 0)
+        sim.at(5_000, send, 1)
+        sim.at(5_000, send, 2)
+        sim.at(60_000, send, 3)
         sim.run_until_idle()
-        assert len(sink.arrivals) == 2
+        assert peaks == [(1500, 0), (1500, 0), (3000, 5_000), (3000, 5_000)]
+        assert len(sink.arrivals) == 4
 
     def test_pooled_queue_takes_the_indirect_path(self, monkeypatch):
         calls = []
@@ -257,6 +274,7 @@ class TestIdlePortCutThrough:
         h = intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460))
         assert port.send(h)
         assert calls == [h]
+        assert (port.queue.peak_bytes, port.queue.peak_ns) == (1500, 0)
         sim.run_until_idle()
         assert [t for t, _ in sink.arrivals] == [12_000 + DEFAULT_PROP_DELAY_NS]
         assert switch.pool_occupancy_bytes == 0

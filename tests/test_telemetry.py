@@ -73,6 +73,77 @@ def test_queue_hwm_records_are_strictly_increasing_per_queue():
             peaks[r.subject] = r.value
 
 
+def test_queue_hwm_is_one_record_per_risen_queue_per_run():
+    """The tracer reads each queue's peak field when run() returns: one
+    record per queue whose peak rose, stamped when it was first reached,
+    and none for a queue that admitted nothing."""
+    from repro.net.host import Host
+    from repro.net.link import Link
+    from repro.net.packet import make_data_packet
+    from repro.net.pool import PacketPool
+    from repro.net.port import OutputPort
+    from repro.net.queues import DropTailQueue
+    from repro.sim.engine import Simulator
+
+    from .helpers import intern
+
+    tracer = Tracer()
+    sim = Simulator(seed=1, tracer=tracer)
+    pool = PacketPool.of(sim)
+    sink = Host(sim, "sink")
+    busy = OutputPort(sim, Link(sink), DropTailQueue(10**6, None, pool=pool), "busy")
+    OutputPort(sim, Link(sink), DropTailQueue(10**6, None, pool=pool), "idle")
+
+    def burst(frames):
+        for seq in range(frames):
+            busy.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=seq, payload_len=1460)))
+
+    sim.at(1_000, burst, 3)
+    sim.run(until=50_000)
+    assert tracer.of_kind("queue_hwm") == [TraceRecord(1_000, "queue_hwm", "busy", 3_000)]
+    sim.at(60_000, burst, 2)  # a lower burst: the peak has not risen
+    sim.run(until=100_000)
+    assert len(tracer.of_kind("queue_hwm")) == 1
+    sim.at(110_000, burst, 4)
+    sim.run(until=200_000)
+    assert tracer.high_watermarks() == {"busy": 4_500}
+    assert tracer.of_kind("queue_hwm")[-1].time_ns == 110_000
+
+
+def test_tracing_keeps_every_port_on_the_cut_through(monkeypatch):
+    """Tracing hooks nothing on admission, so a traced run starts exactly
+    as many frames through _start_next as a plain one and leaves every
+    queue's counters, peak included, where the plain run leaves them."""
+    from repro.net.port import OutputPort
+
+    ports = []
+    starts = []
+    init, start_next = OutputPort.__init__, OutputPort._start_next
+
+    def _init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        ports.append(self)
+
+    def _start_next_counted(self):
+        starts.append(self.name)
+        start_next(self)
+
+    monkeypatch.setattr(OutputPort, "__init__", _init)
+    monkeypatch.setattr(OutputPort, "_start_next", _start_next_counted)
+    fields = (
+        "enqueued_packets enqueued_bytes dequeued_packets dequeued_bytes dropped_packets"
+        " dropped_bytes marked_packets occupancy_bytes peak_bytes peak_ns"
+    ).split()
+    seen = []
+    for trace in (False, True):
+        del ports[:], starts[:]
+        run_scenario(ScenarioSpec.create("dctcp+", n_flows=16, rounds=2, seed=1, trace=trace))
+        counters = {p.name: tuple(getattr(p.queue, f) for f in fields) for p in ports}
+        seen.append((len(starts), counters))
+    assert seen[0] == seen[1]
+    assert sum(c[0] for c in seen[0][1].values()) > 0
+
+
 def test_timeout_taxonomy_matches_flow_stats():
     """The acceptance cross-check at the Table-I 128-flow point."""
     result = run_scenario(ScenarioSpec.create("dctcp", n_flows=128, rounds=2, seed=1, trace=True))
