@@ -53,8 +53,9 @@ class DctcpSender(TcpSender):
     ):
         config = (config or TcpConfig()).with_overrides(ecn_enabled=True)
         super().__init__(sim, host, dst_node_id, flow_id, config, stats, on_complete)
-        # The window-of-data accumulators start at the ledger slot's zero.
-        self.alpha = config.dctcp_alpha_init
+        # The window-of-data accumulators start at the ledger slot's zero;
+        # alpha is written to its column (no compatibility-property call).
+        self._fl.alpha[self._slot] = config.dctcp_alpha_init
         #: number of times Eq. (2) was applied (instrumentation)
         self.ecn_reductions = 0
         #: number of times Eq. (2) wanted to reduce but cwnd was already at

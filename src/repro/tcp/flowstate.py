@@ -15,13 +15,22 @@ invariant checker, metrics collectors and tests keep their attribute-style
 access unchanged — the ``CongestionControl`` registry API is untouched.
 Hot methods bypass the properties and bind the columns to locals.
 
-Columns grow by ``append`` only (never reassignment), so column references
-bound at endpoint construction stay valid for the simulation's lifetime.
+Columns grow **in place** by doubling (``extend`` — never reassignment),
+the growth invariant of :class:`~repro.net.pool.PacketPool`, so column
+references bound at endpoint construction stay valid for the simulation's
+lifetime.  A column is longer than ``slots``: only the first ``slots``
+entries belong to endpoints, the rest are zeros waiting to be claimed.
 """
 
 from __future__ import annotations
 
 from typing import List
+
+#: Initial number of ledger slots; grows by doubling.
+DEFAULT_CAPACITY = 64
+
+#: The columns whose zero is ``0.0`` (the rest count in whole ints).
+_FLOAT_COLUMNS = frozenset(("cwnd", "ssthresh", "ca_bytes_acked", "alpha"))
 
 
 class FlowLedger:
@@ -47,25 +56,31 @@ class FlowLedger:
         "pending_segments",
         "ce_state",
         "slots",
+        "capacity",
     )
 
+    #: Every column, in declaration order (all slots but ``slots`` and ``capacity``).
+    COLUMNS = __slots__[:-2]
+
     def __init__(self):
-        self.cwnd: List[float] = []
-        self.ssthresh: List[float] = []
-        self.snd_una: List[int] = []
-        self.snd_nxt: List[int] = []
-        self.dupacks: List[int] = []
-        self.ca_bytes_acked: List[float] = []
-        self.alpha: List[float] = []
-        self.win_end_seq: List[int] = []
-        self.win_bytes_acked: List[int] = []
-        self.win_bytes_marked: List[int] = []
-        self.win_saw_ece: List[int] = []
-        self.rcv_nxt: List[int] = []
-        self.bytes_delivered: List[int] = []
-        self.pending_segments: List[int] = []
-        self.ce_state: List[int] = []
+        capacity = DEFAULT_CAPACITY
+        self.cwnd: List[float] = [0.0] * capacity
+        self.ssthresh: List[float] = [0.0] * capacity
+        self.snd_una: List[int] = [0] * capacity
+        self.snd_nxt: List[int] = [0] * capacity
+        self.dupacks: List[int] = [0] * capacity
+        self.ca_bytes_acked: List[float] = [0.0] * capacity
+        self.alpha: List[float] = [0.0] * capacity
+        self.win_end_seq: List[int] = [0] * capacity
+        self.win_bytes_acked: List[int] = [0] * capacity
+        self.win_bytes_marked: List[int] = [0] * capacity
+        self.win_saw_ece: List[int] = [0] * capacity
+        self.rcv_nxt: List[int] = [0] * capacity
+        self.bytes_delivered: List[int] = [0] * capacity
+        self.pending_segments: List[int] = [0] * capacity
+        self.ce_state: List[int] = [0] * capacity
         self.slots = 0
+        self.capacity = capacity
 
     @classmethod
     def of(cls, sim) -> "FlowLedger":
@@ -75,26 +90,23 @@ class FlowLedger:
             flows = sim.flows = cls()
         return flows
 
+    def _grow(self) -> None:
+        """Double every column **in place**; bound column refs stay valid."""
+        old = self.capacity
+        for name in self.COLUMNS:
+            getattr(self, name).extend([0.0 if name in _FLOAT_COLUMNS else 0] * old)
+        self.capacity = old * 2
+
     def register(self, cwnd: float = 0.0, ssthresh: float = 0.0) -> int:
         """Claim a fresh slot (one per endpoint): a sender's opening window
-        and threshold, every other counter zero."""
+        and threshold, every other counter zero.  Slots are never reused, so
+        an unclaimed slot still holds the zeros growth filled it with."""
         slot = self.slots
+        if slot == self.capacity:
+            self._grow()
         self.slots = slot + 1
-        self.cwnd.append(cwnd)
-        self.ssthresh.append(ssthresh)
-        self.snd_una.append(0)
-        self.snd_nxt.append(0)
-        self.dupacks.append(0)
-        self.ca_bytes_acked.append(0.0)
-        self.alpha.append(0.0)
-        self.win_end_seq.append(0)
-        self.win_bytes_acked.append(0)
-        self.win_bytes_marked.append(0)
-        self.win_saw_ece.append(0)
-        self.rcv_nxt.append(0)
-        self.bytes_delivered.append(0)
-        self.pending_segments.append(0)
-        self.ce_state.append(0)
+        self.cwnd[slot] = cwnd
+        self.ssthresh[slot] = ssthresh
         return slot
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

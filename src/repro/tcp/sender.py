@@ -181,10 +181,13 @@ class TcpSender:
         if self.closed:
             return
         self.closed = True
-        self.sim.cancel(self._rto_event)
-        self._rto_event = None
-        self.sim.cancel(self._pending_send_event)
-        self._pending_send_event = None
+        # Most flows close with neither timer armed: skip the cancel calls.
+        if self._rto_event is not None:
+            self.sim.cancel(self._rto_event)
+            self._rto_event = None
+        if self._pending_send_event is not None:
+            self.sim.cancel(self._pending_send_event)
+            self._pending_send_event = None
         self.host.unregister_flow(self.flow_id)
         # A closed sender completes nothing more; dropping the callback
         # (usually a bound method of the workload that lists this sender)

@@ -20,12 +20,14 @@ of each other — the synchronization that produces the fan-in burst.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from operator import itemgetter
+from typing import Callable, Optional, Tuple
 
 from ..net.pool import PacketPool
 from ..net.topology import TwoTierTree
 from ..sim.engine import Simulator
 from ..sim.units import MB, SEC
+from ..tcp.flowstate import FlowLedger
 from ..tcp.receiver import TcpReceiver
 from ..tcp.sender import TcpSender
 from .base import ClosedLoopWorkload, RoundResult
@@ -131,6 +133,8 @@ class IncastWorkload(ClosedLoopWorkload):
         pool = PacketPool.of(sim)
         make_sender = self.spec.make_sender
         on_flow_complete = self._on_flow_complete  # one bound method, not one per flow
+        jitter = self.config.start_jitter_ns
+        sru = self.config.sru_bytes
         for i in range(self.config.n_flows):
             server = servers[i % n_servers]
             flow_id = next_flow_id()
@@ -148,14 +152,21 @@ class IncastWorkload(ClosedLoopWorkload):
             self.senders.append(sender)
             self.receivers.append(receiver)
 
-            listener = _RequestListener(self._make_starter(sender), pool)
+            listener = _RequestListener(self._make_starter(sender, sru, jitter), pool)
             server.register_flow(ctrl_id, listener)
             self._ctrl.append((server, ctrl_id))
+        # Round accounting reads columns, not endpoints: one itemgetter over
+        # the receivers' ledger slots (a one-key itemgetter returns a bare
+        # value, so N=1 picks a one-slot slice instead) and the senders'
+        # timeout logs, both summed at C speed in a constant number of calls.
+        slots = [receiver._slot for receiver in self.receivers]
+        self._delivered = FlowLedger.of(sim).bytes_delivered
+        self._pick_delivered = (
+            itemgetter(*slots) if len(slots) > 1 else itemgetter(slice(slots[0], slots[0] + 1))
+        )
+        self._timeout_logs = [sender.stats.timeouts for sender in self.senders]
 
-    def _make_starter(self, sender: TcpSender) -> Callable[[], None]:
-        jitter = self.config.start_jitter_ns
-        sru = self.config.sru_bytes
-
+    def _make_starter(self, sender: TcpSender, sru: int, jitter: int) -> Callable[[], None]:
         def _start() -> None:
             if jitter > 0:
                 self.sim.schedule(self._jitter_rng.randrange(jitter + 1), sender.send, sru)
@@ -165,17 +176,20 @@ class IncastWorkload(ClosedLoopWorkload):
         return _start
 
     # -- round lifecycle -----------------------------------------------------------
+    def _totals(self) -> Tuple[int, int]:
+        """Bytes delivered and timeouts taken so far, over every flow."""
+        return sum(self._pick_delivered(self._delivered)), sum(map(len, self._timeout_logs))
+
     def _begin_round(self) -> None:
         cfg = self.config
         sim = self.sim
-        tree = self.tree
-        self._round_start = sim.now
+        now = sim.now
+        self._round_start = now
         self._pending = cfg.n_flows
         self._missed_this_round = 0
-        self._bytes_at_round_start = sum(r.bytes_delivered for r in self.receivers)
-        self._timeouts_at_round_start = sum(s.stats.timeout_count for s in self.senders)
+        self._bytes_at_round_start, self._timeouts_at_round_start = self._totals()
         if cfg.flow_deadline_ns is not None:
-            absolute = sim.now + cfg.flow_deadline_ns
+            absolute = now + cfg.flow_deadline_ns
             for sender in self.senders:
                 set_deadline = getattr(sender, "set_deadline", None)
                 if set_deadline is not None:
@@ -184,7 +198,13 @@ class IncastWorkload(ClosedLoopWorkload):
         for receiver in self.receivers:
             receiver.expect(sru)
         pool = PacketPool.of(sim)
-        aggregator_id = tree.aggregator.node_id
+        aggregator = self.tree.aggregator
+        aggregator_id = aggregator.node_id
+        send = aggregator.send
+        # Requests are light events (nothing cancels them): one push each,
+        # on the sequence stream `schedule` would have used.
+        push_light = sim.push_light
+        spacing = cfg.request_spacing_ns
         for i, (server, ctrl_id) in enumerate(self._ctrl):
             request = pool.alloc_control(
                 ctrl_id,
@@ -193,10 +213,10 @@ class IncastWorkload(ClosedLoopWorkload):
                 cfg.request_bytes,
                 sim.next_packet_id(),
             )
-            if cfg.request_spacing_ns > 0:
-                sim.schedule(i * cfg.request_spacing_ns, tree.aggregator.send, request)
+            if spacing > 0:
+                push_light(now + i * spacing, send, request)
             else:
-                tree.aggregator.send(request)
+                send(request)
         self._deadline_event = sim.schedule(cfg.round_deadline_ns, self._on_deadline)
 
     #: The base lifecycle's entry point; the method keeps its own name
@@ -220,19 +240,13 @@ class IncastWorkload(ClosedLoopWorkload):
         if self._deadline_event is not None:
             sim.cancel(self._deadline_event)
             self._deadline_event = None
-        bytes_received = (
-            sum(r.bytes_delivered for r in self.receivers) - self._bytes_at_round_start
-        )
-        timeouts = (
-            sum(s.stats.timeout_count for s in self.senders)
-            - self._timeouts_at_round_start
-        )
+        delivered, timed_out = self._totals()
         result = RoundResult(
             index=self._round_index,
             start_ns=self._round_start,
             duration_ns=sim.now - self._round_start,
-            bytes_received=bytes_received,
-            timeouts=timeouts,
+            bytes_received=delivered - self._bytes_at_round_start,
+            timeouts=timed_out - self._timeouts_at_round_start,
             completed=completed,
             missed_deadlines=self._missed_this_round,
         )

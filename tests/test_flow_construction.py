@@ -5,20 +5,27 @@ pinned here: every sender of a workload reads the *same* frozen config
 objects, the slow_time stream is named when the sender is built but opened
 by its first draw, a whole point is one GC epoch, and a closed flow is freed
 by reference counting (what a finished point leaves for the cyclic collector
-does not grow with N).
+does not grow with N).  Past construction, the ledger grows by doubling
+without moving a column, and a round boundary costs a constant number of
+calls plus a fixed few per flow.
 """
 
+import cProfile
 import gc
+import pstats
 from dataclasses import FrozenInstanceError
 
 import pytest
 
 from repro.exec.scenario import ScenarioSpec, run_scenario
+from repro.net.pool import PacketPool
 from repro.net.topology import build_two_tier
 from repro.sim import _native
 from repro.sim.engine import Simulator
 from repro.tcp.cc import cc_names
 from repro.tcp.events import CC_ACK_ECHO, CCEvent
+from repro.tcp.flowstate import DEFAULT_CAPACITY, FlowLedger
+from repro.workloads.base import RoundResult
 from repro.workloads.incast import IncastConfig, IncastWorkload
 from repro.workloads.protocols import spec_for
 
@@ -165,3 +172,90 @@ def test_lazy_stream_draws_what_the_eager_one_drew():
     assert result.goodput_mbps == 624.1374401678897
     assert result.events_processed == 28416
     assert result.timeouts == 4
+
+
+# -- (v) the ledger grows by doubling, in place -----------------------------------------
+def test_an_endpoint_keeps_its_slot_across_ledger_growth():
+    sim = Simulator(seed=1)
+    sender = incast(sim, "dctcp", 1).senders[0]
+    fl = FlowLedger.of(sim)
+    cwnd, alpha = fl.cwnd, fl.alpha  # bound before growth, as hot paths bind them
+    sender.cwnd = 4380.0
+    sender.alpha = 0.25
+    capacity = fl.capacity
+    later = [fl.register(1460.0, 2920.0) for _ in range(2 * DEFAULT_CAPACITY + 1)]
+    assert fl.capacity >= 4 * capacity and fl.slots == 2 + len(later)
+    assert fl.cwnd is cwnd and fl.alpha is alpha
+    assert len(cwnd) == fl.capacity
+    assert sender.cwnd == 4380.0 and sender.alpha == 0.25
+    sender.cwnd = 5840.0
+    assert cwnd[sender._slot] == 5840.0
+    assert all(cwnd[slot] == 1460.0 and fl.ssthresh[slot] == 2920.0 for slot in later)
+    # Growth fills each column with its own zero type.
+    for name in FlowLedger.COLUMNS:
+        zero = getattr(fl, name)[fl.slots]
+        assert zero == 0 and type(zero) is (
+            float if name in ("cwnd", "ssthresh", "ca_bytes_acked", "alpha") else int
+        )
+
+
+# -- (vi) round accounting reads columns ------------------------------------------------
+#: `IncastWorkload.rounds` as the parent commit reported them (seed 1, 2 rounds),
+#: when round counts were summed endpoint by endpoint and requests were handles.
+PARENT_ROUNDS = {
+    1: [
+        RoundResult(0, 0, 8876832, 1048576, 0, True, 0),
+        RoundResult(1, 8876832, 8716736, 1048576, 0, True, 0),
+    ],
+    120: [  # RTO rounds: the timeout logs are what moves
+        RoundResult(0, 0, 204789632, 1048560, 59, True, 0),
+        RoundResult(1, 204789632, 205020704, 1048560, 58, True, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("native", DISPATCH)
+@pytest.mark.parametrize("n_flows", sorted(PARENT_ROUNDS))
+def test_round_results_match_the_parent(n_flows, native, monkeypatch):
+    monkeypatch.setenv(_native.NATIVE_ENV, native)
+    workload = incast(Simulator(seed=1), "dctcp", n_flows, n_rounds=2)
+    workload.run_to_completion()
+    assert workload.rounds == PARENT_ROUNDS[n_flows]
+
+
+#: Calls each extra flow adds to one `_begin_round`: `expect`, `alloc_control`
+#: (and its freelist `pop`), `next_packet_id` and the request's `push_light`,
+#: which is one C call in native mode and a Python frame plus `heappush` in pure
+#: (keyed by `sim.native`: a checker forces the pure loop whatever the switch says).
+BEGIN_ROUND_CALLS_PER_FLOW = {True: 5, False: 6}
+
+
+@pytest.mark.parametrize("native", DISPATCH)
+def test_a_round_boundary_is_constant_calls_plus_the_request_cost(native, monkeypatch):
+    monkeypatch.setenv(_native.NATIVE_ENV, native)
+
+    modes = set()
+
+    def begin_round_calls(n_flows):
+        sim = Simulator(seed=1)
+        modes.add(sim.native)
+        sim.pool = PacketPool(capacity=4 * n_flows)  # no pool growth inside the round
+        workload = incast(sim, "dctcp+", n_flows, n_rounds=2)
+        counts = []
+        begin_round = workload._begin_round
+
+        def profiled():
+            profile = cProfile.Profile()
+            profile.enable()
+            begin_round()
+            profile.disable()
+            counts.append(pstats.Stats(profile).total_calls)
+
+        workload._begin = workload._begin_round = profiled
+        workload.run_to_completion()
+        assert len(counts) == 2 and counts[0] == counts[1]
+        return counts[1]
+
+    extra = begin_round_calls(1024) - begin_round_calls(256)
+    (mode,) = modes
+    assert extra == 768 * BEGIN_ROUND_CALLS_PER_FLOW[mode]
