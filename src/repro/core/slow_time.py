@@ -63,7 +63,9 @@ class SlowTimeMixin:
         on_complete: Optional[Callable[[TcpSender], None]] = None,
     ):
         self.plus_config = plus_config or DctcpPlusConfig()
-        config = (config or TcpConfig()).with_overrides(ecn_enabled=self.ecn)
+        config = config or TcpConfig()
+        if config.ecn_enabled != self.ecn:
+            config = config.with_overrides(ecn_enabled=self.ecn)
         super().__init__(sim, host, dst_node_id, flow_id, config, stats, on_complete)
         self.machine = SlowTimeStateMachine(self.plus_config)
         # The stream's name is fixed here, by construction order; the

@@ -206,7 +206,7 @@ def _builtin(name: str, label: str, sender: str, description: str, **flags) -> N
             kwargs["plus_config"] = plus_config
         if cc.deadline_aware:
             kwargs["deadline_ns"] = deadline_ns
-        if not cc.ecn:
+        if tcp_config.ecn_enabled and not cc.ecn:
             tcp_config = tcp_config.with_overrides(ecn_enabled=False)
         return sender_cls(sim, host, dst, fid, config=tcp_config, on_complete=on_complete, **kwargs)
 

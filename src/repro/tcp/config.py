@@ -86,19 +86,22 @@ class TcpConfig:
             raise ValueError("invalid RTO bounds")
 
     # Convenience byte-denominated views -------------------------------------
-    @property
+    # Computed on first read and stored on the object, which is frozen and
+    # shared by every sender of a workload: later reads are plain attribute
+    # hits, no call per sender or per ACK.
+    @cached_property
     def init_cwnd_bytes(self) -> float:
         return self.init_cwnd_mss * self.mss
 
-    @property
+    @cached_property
     def min_cwnd_bytes(self) -> float:
         return self.min_cwnd_mss * self.mss
 
-    @property
+    @cached_property
     def timeout_cwnd_bytes(self) -> float:
         return self.timeout_cwnd_mss * self.mss
 
-    @property
+    @cached_property
     def init_ssthresh_bytes(self) -> float:
         return self.init_ssthresh_mss * self.mss
 

@@ -51,7 +51,9 @@ class DctcpSender(TcpSender):
         stats: Optional[FlowStats] = None,
         on_complete: Optional[Callable[[TcpSender], None]] = None,
     ):
-        config = (config or TcpConfig()).with_overrides(ecn_enabled=True)
+        config = config or TcpConfig()
+        if not config.ecn_enabled:
+            config = config.with_overrides(ecn_enabled=True)
         super().__init__(sim, host, dst_node_id, flow_id, config, stats, on_complete)
         # The window-of-data accumulators start at the ledger slot's zero;
         # alpha is written to its column (no compatibility-property call).

@@ -130,16 +130,25 @@ class TcpReceiver:
         rcv_before = rcv_col[slot]
         if end_seq <= rcv_before:
             self.duplicate_packets_received += 1
+            out_of_order = True
+        elif seq == rcv_before and not self._ooo:
+            # In order with nothing buffered (the common case): what
+            # _buffer + _advance would do, without the reorder dict.
+            rcv_col[slot] = end_seq
+            delivered = end_seq - seq
+            fl.bytes_delivered[slot] += delivered
+            if self.on_data is not None:
+                self.on_data(delivered)
+            out_of_order = False
         else:
             self._buffer(seq, end_seq)
             self._advance()
+            out_of_order = rcv_col[slot] == rcv_before
+            if out_of_order:
+                self.reordered_packets += 1
         # duplicate or out-of-order segments must be ACKed immediately
         # (RFC 5681); in-order segments go through the ACK policy, which
         # subclasses may delay.
-        out_of_order = rcv_col[slot] == rcv_before
-        if out_of_order and end_seq > rcv_before:
-            self.reordered_packets += 1
-
         self._ack_policy(flags, out_of_order, rcv_before)
 
         if (

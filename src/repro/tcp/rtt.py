@@ -11,9 +11,23 @@ from typing import Optional
 
 
 class RttEstimator:
-    """SRTT/RTTVAR tracker producing RFC 6298 RTO values (integer ns)."""
+    """SRTT/RTTVAR tracker producing RFC 6298 RTO values (integer ns).
 
-    __slots__ = ("srtt_ns", "rttvar_ns", "rto_min_ns", "rto_max_ns", "rto_initial_ns", "samples")
+    ``rto_ns`` (the RTO before exponential backoff, clamped to the bounds) is
+    stored, not derived: the sender re-arms its timer on every clean ACK, and
+    only a new sample can move the value, so the clamp runs once per sample
+    instead of once per read.
+    """
+
+    __slots__ = (
+        "srtt_ns",
+        "rttvar_ns",
+        "rto_ns",
+        "rto_min_ns",
+        "rto_max_ns",
+        "rto_initial_ns",
+        "samples",
+    )
 
     #: RFC 6298 gains: alpha = 1/8, beta = 1/4.
     ALPHA = 0.125
@@ -37,28 +51,32 @@ class RttEstimator:
         self.samples = 0
         if seed_rtt_ns is not None:
             self.add_sample(seed_rtt_ns)
+        else:
+            self.rto_ns = max(rto_min_ns, min(rto_max_ns, rto_initial_ns))
 
     def add_sample(self, rtt_ns: int) -> None:
-        """Fold one clean RTT measurement into the estimator."""
+        """Fold one clean RTT measurement into the estimator and recompute
+        ``rto_ns``."""
         if rtt_ns < 0:
             raise ValueError(f"negative RTT sample: {rtt_ns}")
-        if self.srtt_ns is None:
-            self.srtt_ns = float(rtt_ns)
-            self.rttvar_ns = rtt_ns / 2.0
+        srtt = self.srtt_ns
+        if srtt is None:
+            srtt = self.srtt_ns = float(rtt_ns)
+            rttvar = self.rttvar_ns = rtt_ns / 2.0
         else:
-            err = abs(self.srtt_ns - rtt_ns)
-            self.rttvar_ns = (1 - self.BETA) * self.rttvar_ns + self.BETA * err
-            self.srtt_ns = (1 - self.ALPHA) * self.srtt_ns + self.ALPHA * rtt_ns
+            err = srtt - rtt_ns
+            if err < 0:
+                err = -err
+            rttvar = self.rttvar_ns = (1 - self.BETA) * self.rttvar_ns + self.BETA * err
+            srtt = self.srtt_ns = (1 - self.ALPHA) * srtt + self.ALPHA * rtt_ns
         self.samples += 1
-
-    @property
-    def rto_ns(self) -> int:
-        """Current RTO (before exponential backoff), clamped to the bounds."""
-        if self.srtt_ns is None:
-            base = self.rto_initial_ns
-        else:
-            base = int(self.srtt_ns + self.K * self.rttvar_ns)
-        return max(self.rto_min_ns, min(self.rto_max_ns, base))
+        # max(rto_min, min(rto_max, base)), as comparisons in the same order.
+        rto = int(srtt + self.K * rttvar)
+        if rto > self.rto_max_ns:
+            rto = self.rto_max_ns
+        if rto < self.rto_min_ns:
+            rto = self.rto_min_ns
+        self.rto_ns = rto
 
     def backed_off_rto_ns(self, backoff_exponent: int) -> int:
         """RTO after ``backoff_exponent`` consecutive expirations."""

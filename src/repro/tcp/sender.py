@@ -249,8 +249,11 @@ class TcpSender:
         nxt_col = fl.snd_nxt
         snd_una = fl.snd_una[slot]
         # effective_window_bytes, inlined (this is the per-segment gate).
-        whole = int(fl.cwnd[slot] // mss) * mss
-        window = min(max(whole, mss), cfg.rwnd_bytes)
+        window = int(fl.cwnd[slot] // mss) * mss
+        if window < mss:
+            window = mss
+        if window > cfg.rwnd_bytes:
+            window = cfg.rwnd_bytes
         total = self.total_bytes
         pacer = self.pacer
         snd_nxt = nxt_col[slot]
@@ -286,7 +289,14 @@ class TcpSender:
         sim = self.sim
         now = sim.now
         stats = self.stats
-        stats.record_send_snapshot(int(self._fl.cwnd[self._slot] // cfg.mss), self.last_ack_ece)
+        # FlowStats.record_send_snapshot, inlined; a key's first count
+        # inserts it, so the dict keeps first-seen order.
+        snapshots = stats.send_snapshots
+        key = (int(self._fl.cwnd[self._slot] // cfg.mss), self.last_ack_ece)
+        try:
+            snapshots[key] += 1
+        except KeyError:
+            snapshots[key] = 1
         h = self._pool.alloc_data(
             self.flow_id,
             self._src_id,
@@ -482,9 +492,20 @@ class TcpSender:
     # ----------------------------------------------------------------- RTO timer
     def _arm_timer(self) -> None:
         # Re-armed on every ACK; reschedule-in-place keeps this O(1) with no
-        # heap traffic instead of pushing a fresh entry per ACK.
-        duration = self.rtt.backed_off_rto_ns(self.rto_backoff)
-        self._rto_event = self.sim.reschedule(self._rto_event, duration, self._on_rto)
+        # heap traffic instead of pushing a fresh entry per ACK.  The delay
+        # is RttEstimator.backed_off_rto_ns, inlined: the stored RTO (already
+        # within the bounds) shifted by the backoff and capped again.  It is
+        # positive because TcpConfig rejects rto_min_ns <= 0, so the queue is
+        # called at absolute time without Simulator.reschedule's check.
+        rtt = self.rtt
+        rto = rtt.rto_ns
+        backoff = self.rto_backoff
+        if backoff > 0:
+            rto <<= backoff
+            if rto > rtt.rto_max_ns:
+                rto = rtt.rto_max_ns
+        sim = self.sim
+        self._rto_event = sim.queue.reschedule(self._rto_event, sim.now + rto, self._on_rto)
         self._acks_since_timer_armed = 0
 
     def _stop_timer(self) -> None:

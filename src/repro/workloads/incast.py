@@ -165,6 +165,14 @@ class IncastWorkload(ClosedLoopWorkload):
             itemgetter(*slots) if len(slots) > 1 else itemgetter(slice(slots[0], slots[0] + 1))
         )
         self._timeout_logs = [sender.stats.timeouts for sender in self.senders]
+        # Deadline-aware senders (d2tcp, d2tcp+) are told each round's
+        # deadline; their setters are looked up once, here, and only when
+        # the workload has a deadline to hand out.
+        self._deadline_setters = (
+            [s.set_deadline for s in self.senders if hasattr(s, "set_deadline")]
+            if self.config.flow_deadline_ns is not None
+            else []
+        )
 
     def _make_starter(self, sender: TcpSender, sru: int, jitter: int) -> Callable[[], None]:
         def _start() -> None:
@@ -188,12 +196,10 @@ class IncastWorkload(ClosedLoopWorkload):
         self._pending = cfg.n_flows
         self._missed_this_round = 0
         self._bytes_at_round_start, self._timeouts_at_round_start = self._totals()
-        if cfg.flow_deadline_ns is not None:
+        if self._deadline_setters:
             absolute = now + cfg.flow_deadline_ns
-            for sender in self.senders:
-                set_deadline = getattr(sender, "set_deadline", None)
-                if set_deadline is not None:
-                    set_deadline(absolute)
+            for set_deadline in self._deadline_setters:
+                set_deadline(absolute)
         sru = cfg.sru_bytes
         for receiver in self.receivers:
             receiver.expect(sru)

@@ -6,8 +6,8 @@ objects, the slow_time stream is named when the sender is built but opened
 by its first draw, a whole point is one GC epoch, and a closed flow is freed
 by reference counting (what a finished point leaves for the cyclic collector
 does not grow with N).  Past construction, the ledger grows by doubling
-without moving a column, and a round boundary costs a constant number of
-calls plus a fixed few per flow.
+without moving a column; building a flow and a round boundary each cost a
+constant number of calls plus a fixed few per flow.
 """
 
 import cProfile
@@ -22,6 +22,7 @@ from repro.net.pool import PacketPool
 from repro.net.topology import build_two_tier
 from repro.sim import _native
 from repro.sim.engine import Simulator
+from repro.sim.units import MS
 from repro.tcp.cc import cc_names
 from repro.tcp.events import CC_ACK_ECHO, CCEvent
 from repro.tcp.flowstate import DEFAULT_CAPACITY, FlowLedger
@@ -49,9 +50,12 @@ class Recording(Simulator):
         return super().stream(name)
 
 
-def incast(sim, protocol, n_flows, n_rounds=1):
+def incast(sim, protocol, n_flows, n_rounds=1, **incast):
     return IncastWorkload(
-        sim, build_two_tier(sim), spec_for(protocol), IncastConfig(n_flows, n_rounds=n_rounds)
+        sim,
+        build_two_tier(sim),
+        spec_for(protocol),
+        IncastConfig(n_flows, n_rounds=n_rounds, **incast),
     )
 
 
@@ -199,7 +203,42 @@ def test_an_endpoint_keeps_its_slot_across_ledger_growth():
         )
 
 
-# -- (vi) round accounting reads columns ------------------------------------------------
+# -- (vi) building a flow costs a pinned number of calls ---------------------------------
+#: Calls each extra flow adds to building an incast workload, its ledger
+#: pre-grown so no doubling lands inside.  The shared config is resolved once:
+#: `with_overrides` runs per flow only where the sender's ECN stance differs
+#: from the spec's (3 calls: the memo lookup's frame, `dict.items`, `dict.get`;
+#: `dctcp`, `dctcp+`, `d2tcp`), and the byte views are cached on the config.
+#: Slow_time senders add the machine, its stream name and the pacer; D2TCP its
+#: deadline mixin's `__init__`.
+BUILD_CALLS_PER_FLOW = {"tcp": 27, "dctcp": 31, "d2tcp": 32, "dctcp+": 35}
+
+
+@pytest.mark.parametrize("protocol", list(BUILD_CALLS_PER_FLOW))
+def test_building_a_flow_costs_pinned_calls(protocol, collector_off):
+    # Construction schedules nothing, so the dispatch mode does not enter.
+    # The collector is off, as run_scenario pauses it for a whole point: a
+    # collection inside the profile would count its callbacks' calls.
+    spec = spec_for(protocol)  # one spec, so its config memos are warm after the first build
+
+    def build_calls(n_flows):
+        sim = Simulator(seed=1)
+        tree = build_two_tier(sim)
+        fl = FlowLedger.of(sim)
+        while fl.capacity < 2 * n_flows:
+            fl._grow()
+        profile = cProfile.Profile()
+        profile.enable()
+        IncastWorkload(sim, tree, spec, IncastConfig(n_flows))
+        profile.disable()
+        return pstats.Stats(profile).total_calls
+
+    build_calls(8)
+    extra = build_calls(1024) - build_calls(256)
+    assert extra == 768 * BUILD_CALLS_PER_FLOW[protocol]
+
+
+# -- (vii) round accounting reads columns ------------------------------------------------
 #: `IncastWorkload.rounds` as the parent commit reported them (seed 1, 2 rounds),
 #: when round counts were summed endpoint by endpoint and requests were handles.
 PARENT_ROUNDS = {
@@ -230,17 +269,16 @@ def test_round_results_match_the_parent(n_flows, native, monkeypatch):
 BEGIN_ROUND_CALLS_PER_FLOW = {True: 5, False: 6}
 
 
-@pytest.mark.parametrize("native", DISPATCH)
-def test_a_round_boundary_is_constant_calls_plus_the_request_cost(native, monkeypatch):
-    monkeypatch.setenv(_native.NATIVE_ENV, native)
-
+def extra_begin_round_calls(protocol, **incast_overrides):
+    """Calls 768 more flows add to one `_begin_round` (N=1024 against N=256),
+    and the dispatch mode the simulators ran in."""
     modes = set()
 
     def begin_round_calls(n_flows):
         sim = Simulator(seed=1)
         modes.add(sim.native)
         sim.pool = PacketPool(capacity=4 * n_flows)  # no pool growth inside the round
-        workload = incast(sim, "dctcp+", n_flows, n_rounds=2)
+        workload = incast(sim, protocol, n_flows, n_rounds=2, **incast_overrides)
         counts = []
         begin_round = workload._begin_round
 
@@ -258,4 +296,26 @@ def test_a_round_boundary_is_constant_calls_plus_the_request_cost(native, monkey
 
     extra = begin_round_calls(1024) - begin_round_calls(256)
     (mode,) = modes
+    return extra, mode
+
+
+@pytest.mark.parametrize("native", DISPATCH)
+def test_a_round_boundary_is_constant_calls_plus_the_request_cost(native, monkeypatch):
+    monkeypatch.setenv(_native.NATIVE_ENV, native)
+    extra, mode = extra_begin_round_calls("dctcp+")
     assert extra == 768 * BEGIN_ROUND_CALLS_PER_FLOW[mode]
+
+
+#: With a flow deadline, each deadline-aware sender adds one call: its
+#: `set_deadline`, bound once at construction (no per-round attribute walk);
+#: a workload of senders without one adds nothing.
+DEADLINE_CALLS_PER_FLOW = {"d2tcp": 1, "dctcp+": 0}
+
+
+@pytest.mark.parametrize("native", DISPATCH)
+@pytest.mark.parametrize("protocol", list(DEADLINE_CALLS_PER_FLOW))
+def test_a_deadline_round_boundary_adds_only_the_setters(protocol, native, monkeypatch):
+    monkeypatch.setenv(_native.NATIVE_ENV, native)
+    extra, mode = extra_begin_round_calls(protocol, flow_deadline_ns=50 * MS)
+    per_flow = BEGIN_ROUND_CALLS_PER_FLOW[mode] + DEADLINE_CALLS_PER_FLOW[protocol]
+    assert extra == 768 * per_flow

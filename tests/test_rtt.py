@@ -1,7 +1,7 @@
 """Tests for RFC 6298 RTT estimation."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sim.units import MS, SEC, US
 from repro.tcp.rtt import RttEstimator
@@ -85,3 +85,56 @@ class TestBackoff:
     def test_negative_exponent_treated_as_zero(self):
         est = make(seed=100 * US)
         assert est.backed_off_rto_ns(-3) == est.rto_ns
+
+
+def rfc6298_rtos(samples, rto_min, rto_max, initial):
+    """RTO before any sample, then after each one, straight from RFC 6298's
+    equations (RTTVAR updated from the old SRTT first) and the clamp."""
+    rtos = [max(rto_min, min(rto_max, initial))]
+    srtt = rttvar = None
+    for r in samples:
+        if srtt is None:
+            srtt, rttvar = float(r), r / 2.0
+        else:
+            rttvar = 0.75 * rttvar + 0.25 * abs(srtt - r)
+            srtt = 0.875 * srtt + 0.125 * r
+        rtos.append(max(rto_min, min(rto_max, int(srtt + 4 * rttvar))))
+    return rtos
+
+
+class TestStoredRto:
+    """``rto_ns`` is stored, recomputed by each sample: it must read what
+    the formula gives at every step."""
+
+    @given(
+        samples=st.lists(st.integers(0, 5 * SEC), min_size=1, max_size=30),
+        rto_min=st.integers(1, 50 * MS),
+        headroom=st.integers(0, 2 * SEC),
+        initial=st.integers(1, 3 * SEC),
+        seeded=st.booleans(),
+    )
+    @example(samples=[100 * US], rto_min=200 * MS, headroom=0, initial=SEC, seeded=True)
+    @example(samples=[10 * SEC], rto_min=1, headroom=SEC, initial=SEC, seeded=False)
+    def test_rto_is_the_clamped_formula_after_every_sample(
+        self, samples, rto_min, headroom, initial, seeded
+    ):
+        rto_max = rto_min + headroom
+        expected = rfc6298_rtos(samples, rto_min, rto_max, initial)
+        if seeded:
+            # The seed sample is folded in at construction.
+            est = make(rto_min, rto_max, initial, samples[0])
+            expected, samples = expected[1:], samples[1:]
+        else:
+            est = make(rto_min, rto_max, initial)
+        assert est.rto_ns == expected[0]
+        for sample, rto in zip(samples, expected[1:]):
+            est.add_sample(sample)
+            assert est.rto_ns == rto
+
+    def test_both_clamps_and_the_cold_start(self):
+        assert make(rto_min=5 * MS, rto_max=SEC, initial=3 * SEC).rto_ns == SEC
+        assert make(rto_min=2 * SEC, rto_max=3 * SEC, initial=SEC).rto_ns == 2 * SEC
+        est = make(rto_min=200 * MS, rto_max=SEC, seed=100 * US)
+        assert est.rto_ns == 200 * MS  # 300 us, raised to the floor
+        est.add_sample(10 * SEC)
+        assert est.rto_ns == SEC  # lowered to the cap
