@@ -13,7 +13,7 @@ touch once at construction and then index them per packet.
 
 Handle lifecycle
 ----------------
-``alloc_data`` / ``alloc_ack`` / ``alloc_control`` pop a handle off the
+``alloc_data`` / ``alloc_ack`` / ``alloc_control`` take a handle off the
 freelist (growing the columns by doubling when it is empty) and
 initialize the fields that packet kind uses.  Ownership travels with the
 packet: whoever terminates the packet's journey frees the handle —
@@ -31,13 +31,23 @@ regression test established for events).
 Columns grow **in place** (``extend`` — never reassignment), so column
 references bound at component construction stay valid across growth.
 
+The ``link`` column
+-------------------
+One integer column threads every handle list with no list object and no
+call: a **free** handle's slot holds the next free handle (the freelist is
+LIFO from ``_head``), and a **queued** handle's slot holds the next handle
+in its port backlog (see :class:`~repro.net.queues.DropTailQueue`).  A
+handle is never both, so one column serves both.  ``NIL`` ends a chain.
+:meth:`PacketPool.chain` walks one, bounded by the capacity, so a corrupt
+chain raises :class:`PoolError` instead of looping.
+
 The pool is simulator-owned (``sim.pool``), created lazily by
 :meth:`PacketPool.of` so the engine never imports the net layer.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List
 
 from .packet import ACK_BYTES, HEADER_BYTES, Packet, UNASSIGNED_PACKET_ID
 
@@ -51,6 +61,9 @@ F_RETX = 32  #: retransmitted segment
 
 #: Initial number of packet slots; grows by doubling under load.
 DEFAULT_CAPACITY = 256
+
+#: The end of a ``link`` chain (the hot paths test ``h < 0``).
+NIL = -1
 
 
 class PoolError(RuntimeError):
@@ -163,10 +176,11 @@ class PacketPool:
         "packet_id",
         "flags",
         "live",
+        "link",
         "capacity",
         "allocated_total",
         "freed_total",
-        "_free",
+        "_head",
     )
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
@@ -182,12 +196,15 @@ class PacketPool:
         self.packet_id: List[int] = [UNASSIGNED_PACKET_ID] * capacity
         self.flags = bytearray(capacity)
         self.live = bytearray(capacity)
+        # LIFO freelist threaded through ``link``: the most recently freed
+        # handle is the next allocated, keeping the working set of columns
+        # cache-warm.  A fresh pool hands out 0, 1, 2, ... in order.
+        self.link: List[int] = list(range(1, capacity + 1))
+        self.link[-1] = NIL
+        self._head = 0
         self.capacity = capacity
         self.allocated_total = 0
         self.freed_total = 0
-        # LIFO freelist: the most recently freed handle is the next
-        # allocated, keeping the working set of columns cache-warm.
-        self._free: List[int] = list(range(capacity - 1, -1, -1))
 
     @classmethod
     def of(cls, sim) -> "PacketPool":
@@ -211,8 +228,13 @@ class PacketPool:
         self.packet_id.extend([UNASSIGNED_PACKET_ID] * old)
         self.flags.extend(bytes(old))
         self.live.extend(bytes(old))
-        self.capacity = old * 2
-        self._free.extend(range(self.capacity - 1, old - 1, -1))
+        # The new slots go on top of the freelist in ascending order, ahead
+        # of whatever was still free.
+        new = old * 2
+        self.link.extend(range(old + 1, new + 1))
+        self.link[new - 1] = self._head
+        self._head = old
+        self.capacity = new
 
     # -- allocation -------------------------------------------------------------
     def alloc_data(
@@ -227,10 +249,11 @@ class PacketPool:
         packet_id: int,
     ) -> int:
         """Allocate a data segment (payload + 40 B header on the wire)."""
-        free = self._free
-        if not free:
+        h = self._head
+        if h < 0:
             self._grow()
-        h = free.pop()
+            h = self._head
+        self._head = self.link[h]
         self.flow_id[h] = flow_id
         self.src[h] = src
         self.dst[h] = dst
@@ -255,10 +278,11 @@ class PacketPool:
         packet_id: int,
     ) -> int:
         """Allocate a pure cumulative ACK (64 B on the wire)."""
-        free = self._free
-        if not free:
+        h = self._head
+        if h < 0:
             self._grow()
-        h = free.pop()
+            h = self._head
+        self._head = self.link[h]
         self.flow_id[h] = flow_id
         self.src[h] = src
         self.dst[h] = dst
@@ -276,10 +300,11 @@ class PacketPool:
         self, flow_id: int, src: int, dst: int, wire_bytes: int, packet_id: int
     ) -> int:
         """Allocate a bare control frame (incast request packets)."""
-        free = self._free
-        if not free:
+        h = self._head
+        if h < 0:
             self._grow()
-        h = free.pop()
+            h = self._head
+        self._head = self.link[h]
         self.flow_id[h] = flow_id
         self.src[h] = src
         self.dst[h] = dst
@@ -299,10 +324,11 @@ class PacketPool:
         The bridge for tests and tools that build packets declaratively
         with the classic constructor; internal components never call it.
         """
-        free = self._free
-        if not free:
+        h = self._head
+        if h < 0:
             self._grow()
-        h = free.pop()
+            h = self._head
+        self._head = self.link[h]
         self.flow_id[h] = packet.flow_id
         self.src[h] = packet.src
         self.dst[h] = packet.dst
@@ -338,7 +364,28 @@ class PacketPool:
             )
         self.live[h] = 0
         self.freed_total += 1
-        self._free.append(h)
+        self.link[h] = self._head
+        self._head = h
+
+    # -- chains -----------------------------------------------------------------
+    def chain(self, head: int) -> Iterator[int]:
+        """The handles linked from ``head`` through ``link``, in order.
+
+        Walks at most ``capacity`` handles: a cycle, or a link that points
+        outside the pool, raises :class:`PoolError` rather than hanging.
+        """
+        link = self.link
+        capacity = self.capacity
+        h = head
+        steps = 0
+        while h != NIL:
+            if not 0 <= h < capacity:
+                raise PoolError(f"chain from {head} links to {h}, outside the pool")
+            steps += 1
+            if steps > capacity:
+                raise PoolError(f"chain from {head} is longer than the pool (a cycle)")
+            yield h
+            h = link[h]
 
     # -- views ------------------------------------------------------------------
     def view(self, h: int) -> PacketView:

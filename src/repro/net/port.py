@@ -12,19 +12,28 @@ and it moves packet *handles* (see :mod:`repro.net.pool`), never objects.
 
 A frame admitted to an idle port with nothing queued cuts through: it is
 counted in and out of the queue at once and goes straight to
-serialization, never touching the backlog deque.  That is exact because
+serialization, never touching the backlog chain.  That is exact because
 an idle port's occupancy is 0, so no marking rule (``occupancy >
 threshold``) can fire; the finish event is pushed at the same time, in
 the same order, as the queued path would push it.  Every admit path also
 writes the queue's peak field inline, counting the arriving frame; no
 observer rides on admission (DESIGN.md §8.5).
+
+A plain link into a :class:`~repro.net.switch.Switch` is routed at
+departure: the finish subscripts the switch's forwarding table and pushes
+the arrival straight onto the route's callback (the egress port's
+``send``, or the ECMP closure, which still assigns its ordinals at
+arrival), so no ``Switch.receive`` frame runs per hop.  Routes are only
+installed while a topology is built, so looking one up a propagation
+delay early finds the same entry.  An unroutable destination pushes
+``Switch.receive``, which counts and frees the frame at arrival.
 """
 
 from __future__ import annotations
 
 from ..sim.engine import Simulator
 from .link import Link
-from .pool import F_CE, F_ECT, F_INC
+from .pool import F_CE, F_ECT, F_INC, NIL
 from .queues import DropTailQueue
 
 # Captured at import: the pump inlines DropTailQueue's enqueue/dequeue, and
@@ -61,8 +70,9 @@ class OutputPort:
         "_enqueue",
         "_dequeue",
         "_plain_queue",
-        "_backlog",
+        "_link_col",
         "_wire",
+        "_dst_col",
         "_ser_delay",
         "_ser_ns",
         "_propagate",
@@ -71,6 +81,7 @@ class OutputPort:
         "_finish",
         "_prop_delay",
         "_dst_receive",
+        "_dst_sends",
     )
 
     def __init__(self, sim: Simulator, link: Link, queue: DropTailQueue, name: str = ""):
@@ -92,11 +103,13 @@ class OutputPort:
             and DropTailQueue.enqueue is _PRISTINE_ENQUEUE
             and DropTailQueue.dequeue is _PRISTINE_DEQUEUE
         )
-        # The queue's backing deque, tested for emptiness before paying the
-        # dequeue call; roughly half of all pump polls find nothing queued.
-        self._backlog = queue._queue
-        # Wire-size column of the pool backing this queue's packets.
+        # The pool's link column, which threads the queue's backlog chain;
+        # the pump links and unlinks by subscript.
+        self._link_col = queue.pool.link
+        # Wire-size and destination columns of the pool backing this
+        # queue's packets.
         self._wire = queue.pool.wire_bytes
+        self._dst_col = queue.pool.dst
         self._schedule = sim.schedule
         # Serialization-finish and propagation-arrival are one-shot and
         # never cancelled, so the pump schedules them as light events
@@ -132,12 +145,18 @@ class OutputPort:
             # delivery schedules straight onto dst.receive with no
             # intermediate call frame.  Subclasses (FaultyLink et al.)
             # override propagate() and keep the indirect path.
+            from .switch import Switch  # switch.py imports this module
+
             self._prop_delay = link.prop_delay_ns
             self._dst_receive = link._dst_receive
+            # Into exactly a Switch, the hop is routed at departure.
+            dst = link.dst
+            self._dst_sends = dst._sends if dst.__class__ is Switch else None
             self._finish = self._finish_tx
         else:
             self._prop_delay = None
             self._dst_receive = None
+            self._dst_sends = None
             self._finish = self._finish_tx_indirect
 
     def send(self, h: int) -> bool:
@@ -182,8 +201,8 @@ class OutputPort:
                 q.on_drop(h)
             q._pool_free(h)
             return False
-        backlog = self._backlog
-        if not self._busy and not backlog:
+        head = q._head
+        if head < 0 and not self._busy:
             # Cut-through at an idle port: the frame enters and leaves the
             # queue in the same instant (occupancy stays 0) and starts
             # serializing, exactly as _start_next would have started it.
@@ -202,7 +221,13 @@ class OutputPort:
                 delay = self._ser_delay(wire_bytes)
             self._push_light(now + delay, self._finish, h)
             return True
-        backlog.append(h)
+        link = self._link_col
+        link[h] = NIL
+        if head < 0:
+            q._head = h
+        else:
+            link[q._tail] = h
+        q._tail = h
         occupancy += wire_bytes
         q.occupancy_bytes = occupancy
         q.enqueued_packets += 1
@@ -220,14 +245,14 @@ class OutputPort:
         return self.queue.occupancy_bytes
 
     def _start_next(self) -> None:
-        backlog = self._backlog
-        if not backlog:
+        q = self.queue
+        h = q._head
+        if h < 0:
             self._busy = False
             return
         if self._plain_queue:
             # Inlined DropTailQueue.dequeue (keep in sync with queues.py).
-            h = backlog.popleft()
-            q = self.queue
+            q._head = self._link_col[h]
             wire_bytes = self._wire[h]
             q.occupancy_bytes -= wire_bytes
             q.dequeued_packets += 1
@@ -244,8 +269,9 @@ class OutputPort:
 
     def _finish_tx(self, h: int) -> None:
         # Fused fast path (plain Link only): port + link bookkeeping, the
-        # propagation hop straight onto the destination's receive, then the
-        # next frame's serialization — one callback per wire departure.
+        # propagation hop straight onto the destination's receive (or, into
+        # a Switch, onto the route's callback), then the next frame's
+        # serialization — one callback per wire departure.
         if self._prop_delay is None:
             # The link was spliced (e.g. to a FaultyLink) while this frame
             # was on the wire; deliver it through the new link's propagate,
@@ -260,17 +286,26 @@ class OutputPort:
         link.delivered_bytes += wire_bytes
         now = self.sim.now
         push = self._push_light
-        push(now + self._prop_delay, self._dst_receive, h)
+        sends = self._dst_sends
+        if sends is None:
+            push(now + self._prop_delay, self._dst_receive, h)
+        else:
+            # Routed at departure (see the module docstring).
+            try:
+                arrive = sends[self._dst_col[h]]
+            except KeyError:
+                arrive = self._dst_receive
+            push(now + self._prop_delay, arrive, h)
         # Inlined _start_next: the pump is mid-transmission, so _busy is
         # already True and only the went-idle transition needs a store.
-        backlog = self._backlog
-        if not backlog:
+        q = self.queue
+        nxt = q._head
+        if nxt < 0:
             self._busy = False
             return
         if self._plain_queue:
             # Inlined DropTailQueue.dequeue (keep in sync with queues.py).
-            nxt = backlog.popleft()
-            q = self.queue
+            q._head = self._link_col[nxt]
             wire_bytes = self._wire[nxt]
             q.occupancy_bytes -= wire_bytes
             q.dequeued_packets += 1

@@ -11,14 +11,17 @@ the flag and wire-size columns are bound once at construction and indexed
 per packet, and the queue owns the handle of any packet it drops — the
 drop is the end of that packet's journey, so the handle is freed here
 (after ``on_drop`` fires, while the fields are still readable).
+
+The backlog is a chain through the pool's ``link`` column from ``_head``
+to ``_tail`` (a queued handle is live, so its ``link`` slot is unused by
+the freelist): enqueue and dequeue are subscripts, not list calls.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Iterator, Optional
 
-from .pool import F_CE, F_ECT, F_INC, PacketPool
+from .pool import F_CE, F_ECT, F_INC, NIL, PacketPool
 
 #: Paper defaults (Section III / VI.A).
 DEFAULT_BUFFER_BYTES = 128 * 1024
@@ -59,7 +62,9 @@ class DropTailQueue:
         "_flags",
         "_wire",
         "_pool_free",
-        "_queue",
+        "_link",
+        "_head",
+        "_tail",
         "occupancy_bytes",
         "enqueued_packets",
         "dequeued_packets",
@@ -99,7 +104,9 @@ class DropTailQueue:
         self._flags = pool.flags
         self._wire = pool.wire_bytes
         self._pool_free = pool.free
-        self._queue: Deque[int] = deque()
+        self._link = pool.link
+        self._head = NIL
+        self._tail = NIL
         self.occupancy_bytes = 0
         self.enqueued_packets = 0
         self.dequeued_packets = 0
@@ -114,7 +121,15 @@ class DropTailQueue:
         self.peak_ns = 0
 
     def __len__(self) -> int:
-        return len(self._queue)
+        """Resident packets, counted by walking the backlog chain."""
+        n = 0
+        for _ in self.pool.chain(self._head):
+            n += 1
+        return n
+
+    def __iter__(self) -> Iterator[int]:
+        """The resident handles, head of line first."""
+        return self.pool.chain(self._head)
 
     def enqueue(self, h: int) -> bool:
         """Admit handle ``h``; returns False (and counts a drop) on overflow.
@@ -148,7 +163,13 @@ class DropTailQueue:
                 self.on_drop(h)
             self._pool_free(h)
             return False
-        self._queue.append(h)
+        link = self._link
+        link[h] = NIL
+        if self._head < 0:
+            self._head = h
+        else:
+            link[self._tail] = h
+        self._tail = h
         self.occupancy_bytes = occupancy + wire_bytes
         self.enqueued_packets += 1
         self.enqueued_bytes += wire_bytes
@@ -156,10 +177,10 @@ class DropTailQueue:
 
     def dequeue(self) -> Optional[int]:
         """Remove and return the head-of-line handle (None when empty)."""
-        queue = self._queue
-        if not queue:
+        h = self._head
+        if h < 0:
             return None
-        h = queue.popleft()
+        self._head = self._link[h]
         wire_bytes = self._wire[h]
         self.occupancy_bytes -= wire_bytes
         # Departure counters close the conservation law the validate layer
@@ -170,4 +191,4 @@ class DropTailQueue:
 
     @property
     def is_empty(self) -> bool:
-        return not self._queue
+        return self._head < 0

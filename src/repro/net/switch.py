@@ -129,6 +129,9 @@ class Switch(Node):
         # Forwarding fast path: destination -> the route port's bound
         # send(), so the per-packet hop is one dict probe + one call with
         # no attribute chase.  Kept in lockstep with _routes by add_route.
+        # A port feeding this switch over a plain link binds this dict and
+        # routes each frame at departure (OutputPort._finish_tx), so the
+        # dict is never reassigned and routes change only at build time.
         self._sends: Dict[int, Callable[[int], bool]] = {}
         # ECMP groups: destination -> the tuple of equal-cost candidate
         # ports (empty dict on single-path switches; the fast path above
@@ -202,6 +205,9 @@ class Switch(Node):
         return self._ecmp.get(dst_node_id)
 
     def receive(self, h: int) -> None:
+        # Frames from a plain link reach the route's callback directly and
+        # come here only when unroutable; other feeders (FaultyLink, direct
+        # callers) forward through here.
         try:
             send = self._sends[self._dst_col[h]]
         except KeyError:

@@ -475,19 +475,37 @@ class TcpSender:
         self._arm_timer()
 
     def _sample_rtt(self, ack_seq: int) -> None:
-        """Karn-compliant RTT sample from the newest fully-acked segment."""
-        newest_send = -1
-        to_pop = []
-        for seq, sent_at in self._segment_send_time.items():
+        """Karn-compliant RTT sample from the newest fully-acked segment.
+
+        Only first transmissions are in ``_segment_send_time`` (in send
+        order), so a retransmitted segment is never sampled.  An ACK that
+        covers one of them — the ACK-clocked common case — is settled by
+        key iteration and subscripts, with no call.
+        """
+        sent = self._segment_send_time
+        acked = -1
+        for seq in sent:
             if seq >= ack_seq:
                 break
-            to_pop.append(seq)
-            if sent_at > newest_send:
-                newest_send = sent_at
-        for seq in to_pop:
-            del self._segment_send_time[seq]
-        if newest_send >= 0:
-            self.rtt.add_sample(self.sim.now - newest_send)
+            if acked >= 0:
+                # Several segments acked at once: the newest send time wins.
+                newest_send = -1
+                to_pop = []
+                for seq, sent_at in sent.items():
+                    if seq >= ack_seq:
+                        break
+                    to_pop.append(seq)
+                    if sent_at > newest_send:
+                        newest_send = sent_at
+                for seq in to_pop:
+                    del sent[seq]
+                self.rtt.add_sample(self.sim.now - newest_send)
+                return
+            acked = seq
+        if acked >= 0:
+            sent_at = sent[acked]
+            del sent[acked]
+            self.rtt.add_sample(self.sim.now - sent_at)
 
     # ----------------------------------------------------------------- RTO timer
     def _arm_timer(self) -> None:

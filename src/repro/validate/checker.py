@@ -23,13 +23,16 @@ Per queue (every switch port and host NIC):
   independent count taken from the hook registry's ``queue_dropped`` /
   ``queue_marked`` events)
 - marks only issued when the instantaneous occupancy exceeds K
-- every resident packet handle is live in the packet pool
+- every resident packet handle is live in the packet pool, and the
+  backlog chain ends at the queue's tail
 
 Packet pool (``sim.pool``): handle conservation —
 ``allocated_total - freed_total`` equals the number of live flags set,
 the freelist holds exactly the dead handles (no leaks, no double-frees
 that slipped past the pool's own guard), and every freelist entry is
-dead.
+dead.  Resident and free counts come from walking the ``link`` chains
+(bounded by the pool's capacity), never from a stored count, so a
+corrupt chain — a cycle, or a link out of the pool — is a violation.
 
 Per port: the egress pump holds at most one in-flight frame
 (``dequeued == tx + (1 if serializing else 0)``).
@@ -54,7 +57,7 @@ the first broken account is the one closest to the bug).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..core.state_machine import SlowTimeStateMachine
@@ -220,7 +223,12 @@ class InvariantChecker:
     # -- individual laws ---------------------------------------------------------
     def _check_queue(self, record: _QueueRecord) -> None:
         q = record.queue
-        resident = len(q)
+        resident, last = self._walk(q.pool, q._head, record.name)
+        if resident and last != q._tail:
+            self._fail(
+                f"queue {record.name}: backlog chain ends at handle {last}, "
+                f"not at the tail {q._tail}"
+            )
         if q.enqueued_packets != q.dequeued_packets + resident:
             self._fail(
                 f"queue {record.name}: packet conservation broken — "
@@ -248,13 +256,6 @@ class InvariantChecker:
                 f"queue {record.name}: mark counter mismatch — counter says "
                 f"{q.marked_packets}, on_mark fired {record.marks_seen} times"
             )
-        live = q.pool.live
-        for h in q._queue:
-            if not live[h]:
-                self._fail(
-                    f"queue {record.name}: resident packet handle {h} is dead "
-                    f"in the pool (freed while queued, or stale)"
-                )
 
     def _check_port(self, port: "OutputPort") -> None:
         q = port.queue
@@ -281,25 +282,34 @@ class InvariantChecker:
             )
 
     def _check_flow(self, sender: "TcpSender") -> None:
+        # Counters come straight from the flow ledger's columns, each read
+        # once; bytes_in_flight goes through its property, which the law
+        # checks against the unacked range.
         fid = sender.flow_id
-        if not 0 <= sender.snd_una <= sender.snd_nxt:
+        fl = sender._fl
+        slot = sender._slot
+        snd_una = fl.snd_una[slot]
+        snd_nxt = fl.snd_nxt[slot]
+        if not 0 <= snd_una <= snd_nxt:
             self._fail(
-                f"flow {fid}: sequence corruption — snd_una={sender.snd_una}, "
-                f"snd_nxt={sender.snd_nxt}"
+                f"flow {fid}: sequence corruption — snd_una={snd_una}, "
+                f"snd_nxt={snd_nxt}"
             )
-        if sender.snd_nxt > sender.total_bytes:
+        if snd_nxt > sender.total_bytes:
             self._fail(
-                f"flow {fid}: snd_nxt={sender.snd_nxt} beyond application "
+                f"flow {fid}: snd_nxt={snd_nxt} beyond application "
                 f"bytes {sender.total_bytes}"
             )
-        if sender.bytes_in_flight != sender.snd_nxt - sender.snd_una:
+        in_flight = sender.bytes_in_flight
+        if in_flight != snd_nxt - snd_una:
             self._fail(
-                f"flow {fid}: bytes_in_flight={sender.bytes_in_flight} "
+                f"flow {fid}: bytes_in_flight={in_flight} "
                 f"inconsistent with unacked range "
-                f"[{sender.snd_una}, {sender.snd_nxt})"
+                f"[{snd_una}, {snd_nxt})"
             )
-        if sender.cwnd <= 0:
-            self._fail(f"flow {fid}: cwnd={sender.cwnd} not positive")
+        cwnd = fl.cwnd[slot]
+        if cwnd <= 0:
+            self._fail(f"flow {fid}: cwnd={cwnd} not positive")
         receiver = self._receivers.get(fid)
         if receiver is None:
             return
@@ -307,17 +317,23 @@ class InvariantChecker:
         # delivery can never outrun the bytes ever handed to the network
         # (snd_nxt, or the pre-timeout high-water mark after a go-back-N
         # rewind).
-        high_water = max(sender.snd_nxt, sender.rto_recovery_point)
-        if not sender.snd_una <= receiver.rcv_nxt <= high_water:
+        rfl = receiver._fl
+        rslot = receiver._slot
+        rcv_nxt = rfl.rcv_nxt[rslot]
+        high_water = sender.rto_recovery_point
+        if snd_nxt > high_water:
+            high_water = snd_nxt
+        if not snd_una <= rcv_nxt <= high_water:
             self._fail(
                 f"flow {fid}: byte conservation broken — snd_una="
-                f"{sender.snd_una}, rcv_nxt={receiver.rcv_nxt}, "
+                f"{snd_una}, rcv_nxt={rcv_nxt}, "
                 f"high-water={high_water}"
             )
-        if receiver.bytes_delivered != receiver.rcv_nxt:
+        delivered = rfl.bytes_delivered[rslot]
+        if delivered != rcv_nxt:
             self._fail(
-                f"flow {fid}: receiver delivered {receiver.bytes_delivered}B "
-                f"but rcv_nxt={receiver.rcv_nxt}"
+                f"flow {fid}: receiver delivered {delivered}B "
+                f"but rcv_nxt={rcv_nxt}"
             )
 
     def _check_packet_pool(self) -> None:
@@ -332,16 +348,47 @@ class InvariantChecker:
                 f"packet pool: live-flag count {live_flags} != allocated "
                 f"{pool.allocated_total} - freed {pool.freed_total}"
             )
-        free = pool._free
-        if len(free) + live_flags != pool.capacity:
+        free, _ = self._walk(pool, pool._head)
+        if free + live_flags != pool.capacity:
             self._fail(
-                f"packet pool: freelist {len(free)} + live {live_flags} != "
+                f"packet pool: freelist {free} + live {live_flags} != "
                 f"capacity {pool.capacity} (leaked or duplicated handle)"
             )
-        pool_live = pool.live
-        for h in free:
-            if pool_live[h]:
-                self._fail(f"packet pool: freelist holds live handle {h}")
+
+    def _walk(self, pool, head: int, queue_name: Optional[str] = None) -> Tuple[int, int]:
+        """Count one ``link`` chain from ``head``: (handles, last handle).
+
+        A queue's backlog (``queue_name`` given) must hold only live
+        handles, the freelist only dead ones.  The walk stops at the pool's
+        capacity, so a cycle or a link out of the pool fails here instead
+        of hanging the sweep.
+        """
+        link = pool.link
+        live = pool.live
+        capacity = pool.capacity
+        liveness = 0 if queue_name is None else 1
+        count = 0
+        last = h = head
+        while h != -1:  # the pool's NIL
+            if not 0 <= h < capacity:
+                self._chain_fail(queue_name, f"links to handle {h}, outside the pool")
+            if count == capacity:
+                self._chain_fail(queue_name, "is longer than the pool (a cycle)")
+            if live[h] != liveness:
+                self._chain_fail(
+                    queue_name,
+                    f"holds live handle {h}"
+                    if queue_name is None
+                    else f"holds handle {h}, dead in the pool (freed while queued, or stale)",
+                )
+            count += 1
+            last = h
+            h = link[h]
+        return count, last
+
+    def _chain_fail(self, queue_name: Optional[str], message: str) -> None:
+        where = "packet pool: freelist" if queue_name is None else f"queue {queue_name}: backlog"
+        self._fail(f"{where} {message}")
 
     # -- failure -----------------------------------------------------------------
     def _fail(self, message: str) -> None:

@@ -128,11 +128,15 @@ def spec_for(
     This is where the cwnd floor is resolved, the last point that knows
     which fields were set explicitly: a slow_time strategy whose caller
     left ``min_cwnd_mss`` unset runs at 1 MSS (paper footnote 3), every
-    other strategy at the :class:`TcpConfig` default.
+    other strategy at the :class:`TcpConfig` default.  ``ecn_enabled``
+    defaults to the strategy's own ECN stance, so its senders take the
+    shared config as it is instead of re-deriving it per flow.
     """
+    cc = get_cc(name)
     tcp_overrides = dict(tcp_overrides or {})
-    if get_cc(name).slow_time and "min_cwnd_mss" not in tcp_overrides:
+    if cc.slow_time and "min_cwnd_mss" not in tcp_overrides:
         tcp_overrides["min_cwnd_mss"] = _SLOW_TIME_MIN_CWND_MSS
+    tcp_overrides.setdefault("ecn_enabled", cc.ecn)
     return ProtocolSpec(
         name, TcpConfig(**tcp_overrides), DctcpPlusConfig(**(plus_overrides or {}))
     )

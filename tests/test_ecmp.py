@@ -21,6 +21,7 @@ from repro.net.link import Link
 from repro.net.pool import PacketPool
 from repro.net.shared_buffer import SharedBufferSwitch
 from repro.net.switch import Switch, ecmp_hash
+from repro.net import topology
 from repro.net.topology import TopologyParams, build_fat_tree
 from repro.sim.engine import Simulator
 from repro.validate.fuzz import result_digest
@@ -246,3 +247,53 @@ class TestCrossExecutorDeterminism:
 
     def test_native_vs_pure_identical(self):
         assert _digest_in_subprocess(native=True) == _digest_in_subprocess(native=False)
+
+
+class TestDepartureRouting:
+    """Ports into a Switch push the ECMP closure at departure; it still
+    assigns flow ordinals when the frame arrives, so the switches see flows
+    in the order a ``Switch.receive`` at arrival would."""
+
+    @staticmethod
+    def _run(monkeypatch, at_arrival):
+        receives = []
+        receive = Switch.receive
+
+        def counting_receive(self, h):
+            receives.append(h)
+            receive(self, h)
+
+        monkeypatch.setattr(Switch, "receive", counting_receive)
+        nets = []
+        build = topology.TOPOLOGIES["fat-tree"]
+
+        def recording_build(sim, params=None):
+            net = build(sim, params)
+            if at_arrival:
+                # The reference: every frame into a switch goes through
+                # Switch.receive when it lands.
+                switches = topology._discover_switches(net.hosts)
+                for port in [h.nic for h in net.hosts] + [p for s in switches for p in s.ports]:
+                    port._dst_sends = None
+            nets.append(net)
+            return net
+
+        monkeypatch.setitem(topology.TOPOLOGIES, "fat-tree", recording_build)
+        kwargs = dict(FAT_TREE_SPEC_KWARGS, topo=dict(fat_tree_k=4, hosts_per_edge=2, ecmp_mode="packet"))
+        result = run_scenario(ScenarioSpec.create(**kwargs))
+        (net,) = nets
+        tables = [s._flow_ord for s in topology._discover_switches(net.hosts)]
+        # Flow ids come from a process-wide counter: compare them relative to
+        # the run's first flow.
+        base = min(fid for table in tables for fid in table)
+        ordinals = [[(fid - base, o) for fid, o in table.items()] for table in tables]
+        monkeypatch.undo()
+        return result_digest(result), ordinals, len(receives)
+
+    def test_ordinals_match_a_switch_receive_reference(self, monkeypatch):
+        digest, ordinals, receives = self._run(monkeypatch, at_arrival=False)
+        ref_digest, ref_ordinals, ref_receives = self._run(monkeypatch, at_arrival=True)
+        assert receives == 0 and ref_receives > 0
+        assert sum(len(o) for o in ordinals) > 0
+        assert ordinals == ref_ordinals
+        assert digest == ref_digest

@@ -1,7 +1,5 @@
 """Tests for links and output ports (serialization/propagation pump)."""
 
-from collections import deque
-
 import pytest
 
 from repro.net.faults import drop_nth, make_lossy
@@ -150,20 +148,20 @@ def _recording_port(sim, sink, **kwargs):
     return port, pushes
 
 
-class _SpyDeque(deque):
-    """The backlog deque, counting every append and popleft."""
+class _SpyLinks(list):
+    """The pool's ``link`` column, counting every write.
 
-    def __init__(self):
-        super().__init__()
+    Allocation only reads it; freeing a handle and linking one into a
+    backlog write it, so a frame that never touches a backlog writes
+    nothing."""
+
+    def __init__(self, links):
+        super().__init__(links)
         self.ops = 0
 
-    def append(self, h):
+    def __setitem__(self, h, value):
         self.ops += 1
-        super().append(h)
-
-    def popleft(self):
-        self.ops += 1
-        return super().popleft()
+        super().__setitem__(h, value)
 
 
 class TestIdlePortCutThrough:
@@ -171,19 +169,21 @@ class TestIdlePortCutThrough:
 
     def test_idle_admission_bypasses_the_backlog(self):
         sim = Simulator()
+        pool = PacketPool.of(sim)
+        spy = pool.link = _SpyLinks(pool.link)  # before the port binds the column
         sink = Sink(sim)
         port = make_port(sim, sink)
         q = port.queue
-        spy = q._queue = port._backlog = _SpyDeque()
         assert port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460)))
-        assert spy.ops == 0 and not spy
+        assert spy.ops == 0 and q.is_empty
         assert q.occupancy_bytes == 0
         assert q.enqueued_packets == q.dequeued_packets == 1
         assert q.enqueued_bytes == q.dequeued_bytes == 1500
         assert port._busy
         # The next arrival finds the port busy and queues behind it.
-        assert port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=1, payload_len=1460)))
-        assert spy.ops == 1 and q.occupancy_bytes == 1500
+        h = intern(sim, make_data_packet(1, 0, sink.node_id, seq=1, payload_len=1460))
+        assert port.send(h)
+        assert spy.ops == 1 and list(q) == [h] and q.occupancy_bytes == 1500
         sim.run_until_idle()
         assert [t for t, _ in sink.arrivals] == [22_000, 34_000]
 

@@ -1,11 +1,13 @@
 """Tests for the struct-of-arrays packet pool (handles, recycling, growth)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.exec.scenario import ScenarioSpec, run_scenario
 from repro.net.packet import ACK_BYTES, HEADER_BYTES, make_ack_packet, make_data_packet
-from repro.net.pool import DEFAULT_CAPACITY, F_ACK, F_CE, PacketPool, PoolError
+from repro.net.pool import DEFAULT_CAPACITY, F_ACK, F_CE, NIL, PacketPool, PoolError
 from repro.sim.engine import Simulator
+from repro.validate import InvariantChecker, InvariantViolation
 
 
 class TestAllocation:
@@ -132,7 +134,121 @@ class TestGrowth:
         for h in handles:
             pool.free(h)
         assert pool.live_count == 0
-        assert len(pool._free) == pool.capacity
+        assert sum(1 for _ in pool.chain(pool._head)) == pool.capacity
+
+
+class ListFreelist:
+    """The freelist the ``link`` column replaced: a Python list used as a
+    LIFO stack (``pop`` to allocate, ``append`` to free), grown by pushing
+    the new slots in descending order."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.free = list(range(capacity - 1, -1, -1))
+
+    def grow(self):
+        old = self.capacity
+        self.capacity = old * 2
+        self.free.extend(range(self.capacity - 1, old - 1, -1))
+
+    def alloc(self):
+        if not self.free:
+            self.grow()
+        return self.free.pop()
+
+
+def free_chain(pool):
+    return list(pool.chain(pool._head))
+
+
+class TestLinkFreelist:
+    """The freelist threaded through ``link`` against the list it replaced."""
+
+    @given(
+        capacity=st.integers(1, 8),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("alloc"), st.sampled_from(["data", "ack", "control", "intern"])),
+                st.tuples(st.just("free"), st.integers(0, 1000)),
+                st.tuples(st.just("grow"), st.none()),
+            ),
+            max_size=80,
+        ),
+    )
+    def test_same_handle_sequence_as_a_list_lifo(self, capacity, ops):
+        pool = PacketPool(capacity)
+        ref = ListFreelist(capacity)
+        live = []
+        for op, arg in ops:
+            if op == "alloc":
+                if arg == "data":
+                    h = pool.alloc_data(1, 0, 1, 0, 100, True, False, 0)
+                elif arg == "ack":
+                    h = pool.alloc_ack(1, 1, 0, 100, False, False, 0)
+                elif arg == "control":
+                    h = pool.alloc_control(1, 0, 1, 64, 0)
+                else:
+                    h = pool.intern(make_data_packet(1, 0, 1, seq=0, payload_len=10))
+                assert h == ref.alloc()
+                live.append(h)
+            elif op == "free" and live:
+                h = live.pop(arg % len(live))
+                pool.free(h)
+                ref.free.append(h)
+            elif op == "grow":
+                pool._grow()
+                ref.grow()
+            assert pool.capacity == ref.capacity
+            assert free_chain(pool) == ref.free[::-1]  # next-allocated first
+        assert sorted(live + free_chain(pool)) == list(range(pool.capacity))
+
+    def test_a_fresh_pool_hands_out_handles_in_order(self):
+        pool = PacketPool(4)
+        assert [pool.alloc_control(1, 0, 1, 64, i) for i in range(6)] == [0, 1, 2, 3, 4, 5]
+        assert free_chain(pool) == [6, 7]
+
+    def test_chain_walks_are_bounded(self):
+        pool = PacketPool(4)
+        pool.link[2] = 1  # 0 -> 1 -> 2 -> 1 -> ...
+        with pytest.raises(PoolError, match="cycle"):
+            free_chain(pool)
+        pool.link[2] = 17
+        with pytest.raises(PoolError, match="outside the pool"):
+            free_chain(pool)
+        pool.link[2] = NIL
+        assert free_chain(pool) == [0, 1, 2]
+
+
+class TestCorruptFreelistIsAViolation:
+    """The checker counts free handles by walking the chain, so a corrupt
+    chain is a violation, never a hang."""
+
+    @staticmethod
+    def _pool():
+        sim = Simulator()
+        pool = PacketPool.of(sim)
+        handles = [pool.alloc_control(1, 0, 1, 64, i) for i in range(5)]
+        for h in handles[:3]:
+            pool.free(h)
+        checker = InvariantChecker(sim)
+        checker.sweep()  # the intact pool passes
+        return pool, checker
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda pool: pool.link.__setitem__(pool._head, pool._head), "cycle"),
+            (lambda pool: pool.link.__setitem__(pool._head, pool.capacity), "outside the pool"),
+            (lambda pool: pool.link.__setitem__(pool._head, NIL), "leaked or duplicated"),
+            (lambda pool: pool.link.__setitem__(pool._head, 4), "holds live handle 4"),
+        ],
+        ids=["cycle", "out-of-range", "truncated", "live-handle"],
+    )
+    def test_corrupt_free_chain_raises(self, corrupt, message):
+        pool, checker = self._pool()
+        corrupt(pool)
+        with pytest.raises(InvariantViolation, match=message):
+            checker.sweep()
 
 
 class TestMarkingThroughFlags:

@@ -142,6 +142,26 @@ def test_explicit_rtt_seed_is_kept():
     assert _incast(sim, tree, spec)[0].config.seed_rtt_ns == 77_000
 
 
+@pytest.mark.parametrize("name", cc_names() + EXTERNAL)
+def test_the_spec_carries_the_strategy_ecn_stance(name):
+    # Resolved once in spec_for, so every sender takes the shared config as
+    # it is, with no per-flow with_overrides.
+    spec = spec_for(name)
+    assert spec.tcp_config.ecn_enabled == get_cc(name).ecn
+    sim = Simulator()
+    tree = build_star(sim, n_senders=1)
+    sender = spec.make_sender(sim, tree.servers[0], tree.aggregator.node_id, next_flow_id())
+    assert sender.config is spec.tcp_config
+
+
+def test_an_explicit_ecn_stance_is_kept_in_the_spec():
+    assert spec_for("dctcp", {"ecn_enabled": False}).tcp_config.ecn_enabled is False
+    assert spec_for("tcp", {"ecn_enabled": True}).tcp_config.ecn_enabled is True
+    # The sender classes still have the last word, as before.
+    assert build_sender("dctcp", ecn_enabled=False).config.ecn_enabled
+    assert not build_sender("tcp", ecn_enabled=True).config.ecn_enabled
+
+
 # -- one cwnd floor, resolved by spec_for ---------------------------------------------
 class TestFloorKnob:
     def test_transport_floor_becomes_the_plus_floor(self):
@@ -150,8 +170,10 @@ class TestFloorKnob:
         assert build_sender("tcp+", min_cwnd_mss=1.5).config.min_cwnd_mss == 1.5
         # Unset, slow_time strategies get paper footnote 3's 1 MSS...
         assert spec_for("dctcp+").tcp_config.min_cwnd_mss == 1.0
-        # ...and the rest keep the transport default.
-        assert spec_for("dctcp").tcp_config == TcpConfig()
+        # ...and the rest keep the transport default (the config carries
+        # the strategy's own ECN stance).
+        assert spec_for("dctcp").tcp_config == TcpConfig(ecn_enabled=True)
+        assert spec_for("tcp").tcp_config == TcpConfig()
 
     def test_scenario_floor_axis_changes_a_slow_time_run(self):
         base = dict(n_flows=40, rounds=3, seed=1)

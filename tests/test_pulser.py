@@ -33,7 +33,7 @@ class TestQueueMarking:
         for i in range(9):
             q.enqueue(seg(sim, i * 1000))
         assert q.inc_marked_packets == 0
-        assert all(not pool.view(h).inc for h in q._queue)
+        assert len(q) == 9 and all(not pool.view(h).inc for h in q)
 
     def test_marks_above_threshold_only(self):
         sim = Simulator()

@@ -1,11 +1,18 @@
 """Tests for the drop-tail + ECN-marking queue (pooled-handle based)."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.net.link import Link
+from repro.net.node import Node
 from repro.net.packet import make_data_packet
-from repro.net.pool import PacketPool
+from repro.net.pool import NIL, PacketPool
+from repro.net.port import OutputPort
 from repro.net.queues import DropTailQueue
+from repro.sim.engine import Simulator
+from repro.validate import InvariantViolation
 
 
 def _fresh():
@@ -180,3 +187,129 @@ class TestQueueInvariants:
             assert q.occupancy_bytes == sum(expected)
             assert q.occupancy_bytes <= q.capacity_bytes
             assert len(q) == len(expected)
+
+
+class _Sink(Node):
+    __slots__ = ()
+
+    def receive(self, h):  # pragma: no cover - the tests never run the clock
+        raise AssertionError("arrivals are taken from the recorded pushes")
+
+
+def _manual_port(capacity):
+    """A port whose pushes are recorded instead of scheduled, so a test
+    finishes each frame's serialization by hand."""
+    sim = Simulator()
+    sink = _Sink(sim, "sink")
+    pool = PacketPool.of(sim)
+    port = OutputPort(sim, Link(sink), DropTailQueue(capacity, None, pool=pool))
+    pushes = []
+    port._push_light = lambda time, callback, h: pushes.append((callback, h))
+    return sim, pool, port, pushes
+
+
+class TestBacklogChain:
+    """The backlog threaded through the pool's ``link`` column against a
+    ``deque`` model of the pump: drop-tail admission, cut-through at an
+    idle port, FIFO departures."""
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "indirect"])
+    @given(
+        ops=st.lists(
+            st.one_of(st.integers(1, 1460), st.just("finish"), st.just("dequeue")),
+            max_size=120,
+        )
+    )
+    def test_matches_a_deque_reference(self, inline, ops):
+        capacity = 4_000
+        sim, pool, port, pushes = _manual_port(capacity)
+        port._plain_queue = inline
+        q = port.queue
+        backlog = deque()  # the reference
+        on_wire = None
+        departed, ref_departed = [], []
+        for op in ops:
+            if op == "finish":
+                if on_wire is None:
+                    continue
+                callback, h = pushes.pop()
+                assert (callback, h) == (port._finish, on_wire)
+                callback(h)
+                ref_departed.append(on_wire)
+                on_wire = backlog.popleft() if backlog else None
+                if on_wire is not None:
+                    assert pushes[-1] == (port._finish, on_wire)
+                while pushes and pushes[0][0] != port._finish:
+                    departed.append(pushes.pop(0)[1])  # arrivals at the sink
+            elif op == "dequeue":
+                # A direct dequeue (a reader draining the queue by hand).
+                h = q.dequeue()
+                assert h == (backlog.popleft() if backlog else None)
+                if h is not None:
+                    pool.free(h)
+            else:
+                h = pool.alloc_data(1, 0, 1, 0, op, False, False, 0)
+                wire = pool.wire_bytes[h]
+                admitted = port.send(h)
+                occupancy = sum(pool.wire_bytes[b] for b in backlog)
+                if occupancy + wire > capacity:
+                    assert not admitted and not pool.live[h]
+                elif on_wire is None and not backlog:
+                    assert admitted
+                    on_wire = h  # cut through
+                    assert pushes[-1] == (port._finish, h)
+                else:
+                    assert admitted
+                    backlog.append(h)
+            assert list(q) == list(backlog)
+            assert len(q) == len(backlog) and q.is_empty == (not backlog)
+            assert q.occupancy_bytes == sum(pool.wire_bytes[b] for b in backlog)
+            if backlog:
+                assert q._tail == backlog[-1] and pool.link[q._tail] == NIL
+            assert port._busy == (on_wire is not None)
+        assert departed == ref_departed
+
+    def test_queue_level_fifo_with_drops(self):
+        pool, pkt = _fresh()
+        q = DropTailQueue(3_100, None, pool=pool)
+        first, second, dropped, third = pkt(), pkt(), pkt(), pkt(10)
+        assert q.enqueue(first) and q.enqueue(second)
+        assert not q.enqueue(dropped)
+        assert q.enqueue(third)
+        assert list(q) == [first, second, third] and q._tail == third
+        assert q.dequeue() == first
+        assert list(q) == [second, third]
+        assert q.dequeue() == second and q.dequeue() == third
+        assert q.dequeue() is None and q.is_empty and list(q) == []
+
+
+class TestCorruptBacklogIsAViolation:
+    """The checker counts residents by walking the backlog chain: a corrupt
+    one is a violation, never a hang."""
+
+    @staticmethod
+    def _queued():
+        sim = Simulator(validate=True)
+        sink = _Sink(sim, "sink")
+        pool = PacketPool.of(sim)
+        port = OutputPort(sim, Link(sink), DropTailQueue(100_000, None, pool=pool))
+        for seq in range(4):  # the first cuts through, three queue behind it
+            port.send(pool.alloc_data(1, 0, 1, seq, 1460, False, False, 0))
+        sim.checker.sweep()  # the intact backlog passes
+        return sim, pool, port.queue
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda pool, q: pool.link.__setitem__(q._tail, q._head), "cycle"),
+            (lambda pool, q: pool.link.__setitem__(q._head, -7), "outside the pool"),
+            (lambda pool, q: pool.link.__setitem__(q._head, NIL), "not at the tail"),
+            (lambda pool, q: pool.free(q._tail), "dead in the pool"),
+        ],
+        ids=["cycle", "out-of-range", "truncated", "freed-while-queued"],
+    )
+    def test_corrupt_backlog_chain_raises(self, corrupt, message):
+        sim, pool, q = self._queued()
+        corrupt(pool, q)
+        with pytest.raises(InvariantViolation, match=message):
+            sim.checker.sweep()

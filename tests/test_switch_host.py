@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.net.faults import drop_nth, make_lossy, never
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.packet import Packet, make_data_packet
+from repro.net.pool import PacketPool
+from repro.net.shared_buffer import SharedBufferSwitch
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 
@@ -60,6 +63,52 @@ class TestSwitch:
         sim = Simulator()
         switch, _, _ = wire(sim)
         assert switch.route_for(123456) is None
+
+
+class TestDepartureRouting:
+    """A plain link into a Switch is routed when the frame leaves the port."""
+
+    def test_only_a_plain_link_into_a_switch_binds_the_table(self):
+        sim = Simulator()
+        switch, a, b = wire(sim)
+        assert a.nic._dst_sends is switch._sends
+        assert switch.route_for(a.node_id)._dst_sends is None  # into a host
+        shared = SharedBufferSwitch(sim, "shared")
+        c = Host(sim, "c")
+        c.attach_link(Link(shared))
+        assert c.nic._dst_sends is None
+        a.nic.link = make_lossy(a.nic.link, never())
+        assert a.nic._dst_sends is None
+
+    def test_unroutable_frame_is_counted_at_arrival_time(self):
+        sim = Simulator()
+        switch, a, b = wire(sim)
+        pool = PacketPool.of(sim)
+        h = intern(sim, make_data_packet(1, a.node_id, 99_999, seq=0, payload_len=100))
+        link = a.nic.link
+        arrival = link.serialization_delay(pool.wire_bytes[h]) + link.prop_delay_ns
+        seen = []
+        sim.at(arrival - 1, lambda: seen.append((switch.unroutable_drops, pool.live[h])))
+        a.send(h)
+        sim.run_until_idle()
+        assert a.nic.tx_packets == 1
+        assert seen == [(0, 1)]  # departed, still in flight, not yet counted
+        assert (sim.now, switch.unroutable_drops, pool.live[h]) == (arrival, 1, 0)
+
+    @pytest.mark.parametrize("policy, delivered", [(never, 1), (lambda: drop_nth(0), 0)])
+    def test_faulty_link_spliced_mid_frame_keeps_the_indirect_path(self, policy, delivered):
+        sim = Simulator()
+        switch, a, b = wire(sim)
+        ep = Endpoint(sim)
+        b.register_flow(1, ep)
+        a.send(intern(sim, make_data_packet(1, a.node_id, b.node_id, seq=0, payload_len=100)))
+        faulty = a.nic.link = make_lossy(a.nic.link, policy())  # the frame is on the wire
+        sim.run_until_idle()
+        assert faulty.offered_packets == 1
+        assert faulty.injected_drops == 1 - delivered
+        assert len(ep.packets) == delivered
+        assert switch.unroutable_drops == 0
+        assert not any(PacketPool.of(sim).live)
 
 
 class TestHost:
