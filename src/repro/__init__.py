@@ -4,18 +4,18 @@ More: Improving DCTCP for Massive Concurrent Flows", ICPP 2015).
 The package layers:
 
 - :mod:`repro.sim`   — discrete-event engine (integer-ns clock, RNG streams)
-- :mod:`repro.net`   — packets, links, ECN switches, hosts, the 2-tier tree
+- :mod:`repro.net`   — the packet pool, links, ECN switches, hosts, the 2-tier tree
 - :mod:`repro.tcp`   — TCP New Reno and DCTCP senders, timeout taxonomy
 - :mod:`repro.core`  — DCTCP+ (slow_time state machine + pacer, wired onto
   a transport by one ``SlowTimeMixin``) — the paper
 - :mod:`repro.workloads` — incast / HTTP / swarm rounds on one closed-loop
   lifecycle, long flows, benchmark traffic
 - :mod:`repro.exec`  — declarative scenario specs, serial/parallel executors
-- :mod:`repro.sweep` — million-point sweep service: declarative grid/random
+- :mod:`repro.sweep` — million-point sweep service: declarative grid
   sweeps, the content-addressed SQLite result store (also the executors'
   ``--cache-dir`` cache), resumable sharded orchestration
   (``python -m repro sweep``)
-- :mod:`repro.telemetry` — typed event tracing, the flow/queue probes,
+- :mod:`repro.telemetry` — typed event tracing, the queue probe,
   summaries and tables, exporters, engine profiling
   (``python -m repro trace``)
 - :mod:`repro.control` — gym-style :class:`ControlEnv` (step/observe/act
@@ -65,7 +65,6 @@ from .net import (
     FatTreeNetwork,
     Host,
     Link,
-    Packet,
     Switch,
     TopologyParams,
     TwoTierTree,
@@ -88,8 +87,6 @@ from .tcp.flowstats import FlowStats
 from .telemetry import (
     Collector,
     EngineProfiler,
-    FlowTracer,
-    PeriodicCollector,
     QueueSampler,
     Tracer,
     TraceRecord,
@@ -111,13 +108,12 @@ from .workloads import (
 )
 from .experiments.common import run_incast_batch
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "Simulator",
     "Host",
     "Link",
-    "Packet",
     "Switch",
     "TopologyParams",
     "TwoTierTree",
@@ -163,7 +159,6 @@ __all__ = [
     "ProtocolSpec",
     "spec_for",
     "FlowStats",
-    "FlowTracer",
     "QueueSampler",
     "ScenarioSpec",
     "PointResult",
@@ -178,7 +173,6 @@ __all__ = [
     "Tracer",
     "TraceRecord",
     "Collector",
-    "PeriodicCollector",
     "EngineProfiler",
     "__version__",
 ]

@@ -1,10 +1,10 @@
-"""Network substrate: packets, links, queues, switches, hosts, topologies."""
+"""Network substrate: the packet pool, links, queues, switches, hosts, topologies."""
 
 from .faults import FaultyLink, drop_data_once, drop_nth, make_lossy, random_loss
 from .host import Host
 from .link import Link
 from .node import Node
-from .packet import ACK_BYTES, DEFAULT_MSS, HEADER_BYTES, Packet, make_ack_packet, make_data_packet
+from .pool import ACK_BYTES, DEFAULT_MSS, HEADER_BYTES
 from .port import OutputPort
 from .queues import DEFAULT_BUFFER_BYTES, DEFAULT_ECN_THRESHOLD, DropTailQueue
 from .shared_buffer import SharedBufferSwitch
@@ -29,9 +29,6 @@ __all__ = [
     "Host",
     "Link",
     "Node",
-    "Packet",
-    "make_ack_packet",
-    "make_data_packet",
     "ACK_BYTES",
     "DEFAULT_MSS",
     "HEADER_BYTES",

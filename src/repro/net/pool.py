@@ -1,15 +1,32 @@
 """The packet flyweight pool: struct-of-arrays storage for packets in flight.
 
-Per-``Packet`` objects were the highest-churn allocation in the simulator:
-every segment and every ACK paid an object construction, fifteen slot
-writes, and (eventually) a deallocation.  The pool replaces the object
-with an integer **handle** indexing preallocated parallel columns — one
-column per field, ``bytearray`` for the flag bits and liveness, Python
+A packet is an integer **handle** indexing preallocated parallel columns —
+one column per field, ``bytearray`` for the flag bits and liveness, Python
 lists for the integer fields (measured faster than ``array('q')`` for the
-read/write mix of this workload).  Components on the hot path
-(:class:`~repro.net.port.OutputPort`, :class:`~repro.net.queues.DropTailQueue`,
-:class:`~repro.net.link.Link`, the TCP endpoints) bind the columns they
-touch once at construction and then index them per packet.
+read/write mix of this workload).  It is the simulator's only packet
+representation: there is no per-packet object to construct or free.
+Components on the hot path (:class:`~repro.net.port.OutputPort`,
+:class:`~repro.net.queues.DropTailQueue`, :class:`~repro.net.link.Link`,
+the TCP endpoints) bind the columns they touch once at construction and
+then index them per packet.
+
+Flag bits
+---------
+ECN field semantics follow RFC 3168 naming:
+
+- ``F_ECT`` — the sender marked the packet ECN-capable (ECT codepoint).
+- ``F_CE``  — a switch changed ECT to CE (Congestion Experienced).
+- ``F_ECE`` — the receiver echoes CE back to the sender in ACKs (ECN-Echo).
+
+``F_INC`` is the Pulser-style incast-onset bit (arXiv:1809.09751): a switch
+stamps it on packets arriving past the incast threshold, the receiver
+echoes it on ACKs, and incast-aware senders back off on the echo.  It is
+always clear unless a scenario armed the detector.
+
+Packet ids come from the owning Simulator (``Simulator.next_packet_id``),
+not a process-global counter: a module-level ``count()`` would make ids
+depend on everything that ran earlier in the process, breaking
+run-to-run and serial-vs-worker-pool reproducibility.
 
 Handle lifecycle
 ----------------
@@ -49,7 +66,14 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
-from .packet import ACK_BYTES, HEADER_BYTES, Packet, UNASSIGNED_PACKET_ID
+#: Wire size of a full-MSS data frame: 1460 B payload + 40 B TCP/IP headers.
+DEFAULT_MSS = 1460
+HEADER_BYTES = 40
+#: Wire size of a pure ACK (headers only, padded to minimum Ethernet frame).
+ACK_BYTES = 64
+
+#: ``packet_id`` of a slot no simulator has assigned one to.
+UNASSIGNED_PACKET_ID = -1
 
 #: Flag bits packed into the ``flags`` column (one byte per packet).
 F_ACK = 1  #: pure ACK (no payload)
@@ -73,8 +97,8 @@ class PoolError(RuntimeError):
 class PacketView:
     """Read-only object facade over one pooled packet.
 
-    Cold paths that want ``Packet``-style attribute access (fault-injection
-    policies, debug output, tests) get a view; the hot path never builds
+    Cold paths that want attribute access (fault-injection policies,
+    debug output, tests) get a view; the hot path never builds
     one.  The view snapshots nothing — it reads through to the columns —
     so it must not outlive the handle's allocation.
     """
@@ -314,37 +338,6 @@ class PacketPool:
         self.wire_bytes[h] = wire_bytes
         self.packet_id[h] = packet_id
         self.flags[h] = 0
-        self.live[h] = 1
-        self.allocated_total += 1
-        return h
-
-    def intern(self, packet: Packet) -> int:
-        """Copy a legacy :class:`Packet` object into the pool.
-
-        The bridge for tests and tools that build packets declaratively
-        with the classic constructor; internal components never call it.
-        """
-        h = self._head
-        if h < 0:
-            self._grow()
-            h = self._head
-        self._head = self.link[h]
-        self.flow_id[h] = packet.flow_id
-        self.src[h] = packet.src
-        self.dst[h] = packet.dst
-        self.seq[h] = packet.seq
-        self.payload_len[h] = packet.payload_len
-        self.ack_seq[h] = packet.ack_seq
-        self.wire_bytes[h] = packet.wire_bytes
-        self.packet_id[h] = packet.packet_id
-        self.flags[h] = (
-            (F_ACK if packet.is_ack else 0)
-            | (F_ECT if packet.ect else 0)
-            | (F_CE if packet.ce else 0)
-            | (F_ECE if packet.ece else 0)
-            | (F_INC if packet.inc else 0)
-            | (F_RETX if packet.is_retransmit else 0)
-        )
         self.live[h] = 1
         self.allocated_total += 1
         return h

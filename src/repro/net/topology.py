@@ -41,7 +41,7 @@ from ..sim.engine import Simulator
 from ..sim.units import GBPS, transmission_time_ns
 from .host import Host
 from .link import DEFAULT_PROP_DELAY_NS, Link
-from .packet import ACK_BYTES, DEFAULT_MSS, HEADER_BYTES
+from .pool import ACK_BYTES, DEFAULT_MSS, HEADER_BYTES
 from .port import OutputPort
 from .queues import DEFAULT_BUFFER_BYTES, DEFAULT_ECN_THRESHOLD
 from .shared_buffer import SharedBufferSwitch

@@ -2,8 +2,9 @@
 
 All simulation timestamps are **integer nanoseconds**.  Integer time keeps
 event ordering exact (no float-comparison hazards in the event heap) and is
-cheap to add/compare in the hot path.  Helpers here convert between human
-units and nanoseconds, and between data sizes and transmission times.
+cheap to add/compare in the hot path.  Durations are written as
+multiples of the constants here (``200 * MS``, ``100 * US``); the helpers
+convert between data sizes, rates and transmission times.
 """
 
 from __future__ import annotations
@@ -19,36 +20,6 @@ US = MICROSECOND
 MS = MILLISECOND
 NS = NANOSECOND
 SEC = SECOND
-
-
-def microseconds(value: float) -> int:
-    """Convert a duration in microseconds to integer nanoseconds."""
-    return round(value * MICROSECOND)
-
-
-def milliseconds(value: float) -> int:
-    """Convert a duration in milliseconds to integer nanoseconds."""
-    return round(value * MILLISECOND)
-
-
-def seconds(value: float) -> int:
-    """Convert a duration in seconds to integer nanoseconds."""
-    return round(value * SECOND)
-
-
-def to_seconds(ns: int) -> float:
-    """Convert integer nanoseconds to float seconds (for reporting only)."""
-    return ns / SECOND
-
-
-def to_microseconds(ns: int) -> float:
-    """Convert integer nanoseconds to float microseconds (for reporting)."""
-    return ns / MICROSECOND
-
-
-def to_milliseconds(ns: int) -> float:
-    """Convert integer nanoseconds to float milliseconds (for reporting)."""
-    return ns / MILLISECOND
 
 
 # --- data-size constants (bytes) ---------------------------------------------

@@ -4,10 +4,10 @@ The substrate for parameter studies far beyond what per-figure drivers
 carry (ROADMAP item 3: the DCTCP+ phase-boundary study over
 N × RTOmin × K × buffer):
 
-- :class:`SweepSpec` — declarative grid / seeded-random sweeps over the
-  scenario axes, expanded to deterministic :class:`~repro.exec.ScenarioSpec`
-  lists; :func:`shard_points` partitions them disjointly and exhaustively
-  by content-key hash (``--shard i/n``).
+- :class:`SweepSpec` — declarative grid sweeps over the scenario axes,
+  expanded to deterministic :class:`~repro.exec.ScenarioSpec` lists;
+  :func:`shard_points` partitions them disjointly and exhaustively by
+  content-key hash (``--shard i/n``).
 - :class:`SweepStore` — content-addressed columnar result store (SQLite,
   WAL), also the executors' result cache, with conflict-safe
   :meth:`~SweepStore.merge_from`, bulk columnar reads

@@ -1,4 +1,4 @@
-"""Declarative sweep specifications: grid and seeded-random point sets.
+"""Declarative sweep specifications: grid point sets.
 
 A :class:`SweepSpec` describes a whole parameter study — which axes vary
 (N, RTOmin, the ECN marking threshold K, the switch buffer, the CC
@@ -6,15 +6,8 @@ strategy, the seed) and how — as pure data.  ``points()`` expands it to a
 deterministic, ordered list of :class:`~repro.exec.ScenarioSpec`, so the
 same spec file names the same million points on every host, every run.
 
-Two expansion modes:
-
-- ``grid``   — the cartesian product of every axis's value list, in a
-  fixed axis order (the order of :data:`AXES`), values in listed order.
-- ``random`` — ``samples`` points drawn by a ``random.Random(sample_seed)``
-  stream; each axis is either a value list (uniform choice) or a numeric
-  range ``{"min": lo, "max": hi, "scale": "linear"|"log", "round": bool}``.
-  The draw sequence is fixed by the spec alone, so random sweeps resume
-  and shard exactly like grids.
+A spec expands to the cartesian product of every axis's value list, in
+a fixed axis order (the order of :data:`AXES`), values in listed order.
 
 Sharding partitions points by **content key**, not position:
 ``shard_index(spec, n)`` buckets each point by its
@@ -28,8 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -37,8 +28,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..exec.scenario import ScenarioSpec
 
 #: Bumped whenever the expansion semantics change shape, so a sweep-spec
-#: digest never collides across incompatible expansions.
-SWEEP_SCHEMA_VERSION = 1
+#: digest never collides across incompatible expansions.  2: grids only
+#: (the random-draw keys left the spec and its ``to_dict()``).
+SWEEP_SCHEMA_VERSION = 2
 
 #: The axes a sweep may vary, in the fixed order grids expand them.
 #: Each maps a declarative name onto :meth:`ScenarioSpec.create` knobs.
@@ -61,31 +53,8 @@ _INT_AXES = frozenset({"n_flows", "ecn_threshold_bytes", "buffer_bytes", "seed"}
 #: Axes whose values are names rather than numbers.
 _STR_AXES = frozenset({"protocol", "cc", "topology", "workload"})
 
-AxisValues = Union[Sequence[object], Mapping[str, object]]
-
-
 class SweepSpecError(ValueError):
-    """A sweep spec that cannot be expanded (unknown axis, bad range...)."""
-
-
-def _is_range(values: AxisValues) -> bool:
-    return isinstance(values, Mapping)
-
-
-def _check_range(axis: str, spec: Mapping[str, object]) -> None:
-    unknown = set(spec) - {"min", "max", "scale", "round"}
-    if unknown:
-        raise SweepSpecError(f"axis {axis!r}: unknown range keys {sorted(unknown)}")
-    if "min" not in spec or "max" not in spec:
-        raise SweepSpecError(f"axis {axis!r}: a range needs 'min' and 'max'")
-    lo, hi = spec["min"], spec["max"]
-    if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float))) or lo > hi:
-        raise SweepSpecError(f"axis {axis!r}: bad range [{lo!r}, {hi!r}]")
-    scale = spec.get("scale", "linear")
-    if scale not in ("linear", "log"):
-        raise SweepSpecError(f"axis {axis!r}: scale must be 'linear' or 'log', got {scale!r}")
-    if scale == "log" and lo <= 0:
-        raise SweepSpecError(f"axis {axis!r}: log scale needs min > 0, got {lo!r}")
+    """A sweep spec that cannot be expanded (unknown axis or key, bad values...)."""
 
 
 def _check_values(axis: str, values: Sequence[object]) -> None:
@@ -101,63 +70,35 @@ def _check_values(axis: str, values: Sequence[object]) -> None:
             raise SweepSpecError(f"axis {axis!r}: expected integers, got {v!r}")
 
 
-def _draw(axis: str, values: AxisValues, rng: random.Random) -> object:
-    """One seeded draw from a value list or a numeric range."""
-    if not _is_range(values):
-        return values[rng.randrange(len(values))]
-    lo, hi = float(values["min"]), float(values["max"])
-    if values.get("scale", "linear") == "log":
-        sample = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-    else:
-        sample = rng.uniform(lo, hi)
-    if values.get("round", axis in _INT_AXES):
-        return max(int(values["min"]), min(int(values["max"]), round(sample)))
-    return sample
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A declarative parameter study over :data:`AXES`.
 
-    ``axes`` maps axis names to either value lists (grid or random) or —
-    in random mode — numeric range mappings.  Axes that are absent keep
+    ``axes`` maps axis names to value lists.  Axes that are absent keep
     the :class:`ScenarioSpec` default (``protocol`` falls back to the
     spec-level ``protocol`` field, ``seed`` to 1).
     """
 
     name: str
-    mode: str = "grid"
     protocol: str = "dctcp+"
     rounds: int = 20
-    axes: Mapping[str, AxisValues] = field(default_factory=dict)
-    #: random mode: how many points to draw, and from which stream.
-    samples: int = 0
-    sample_seed: int = 1
+    axes: Mapping[str, Sequence[object]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in ("grid", "random"):
-            raise SweepSpecError(f"mode must be 'grid' or 'random', got {self.mode!r}")
         if self.rounds < 1:
             raise SweepSpecError(f"rounds must be >= 1, got {self.rounds}")
         unknown = set(self.axes) - set(AXES)
         if unknown:
             raise SweepSpecError(f"unknown axes {sorted(unknown)}; valid: {list(AXES)}")
         for axis, values in self.axes.items():
-            if _is_range(values):
-                if self.mode == "grid":
-                    raise SweepSpecError(
-                        f"axis {axis!r}: ranges need mode='random' (grids take value lists)"
-                    )
-                _check_range(axis, values)
-            else:
-                _check_values(axis, list(values))
-        if self.mode == "random" and self.samples < 1:
-            raise SweepSpecError(f"random mode needs samples >= 1, got {self.samples}")
+            if isinstance(values, Mapping):
+                raise SweepSpecError(f"axis {axis!r}: expected a value list, got {values!r}")
+            _check_values(axis, list(values))
 
     # -- codec -----------------------------------------------------------------
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SweepSpec":
-        known = {"name", "mode", "protocol", "rounds", "axes", "samples", "sample_seed"}
+        known = {"name", "protocol", "rounds", "axes"}
         unknown = set(data) - known
         if unknown:
             raise SweepSpecError(f"unknown sweep-spec keys {sorted(unknown)}")
@@ -165,12 +106,9 @@ class SweepSpec:
             raise SweepSpecError("a sweep spec needs a 'name'")
         return cls(
             name=str(data["name"]),
-            mode=str(data.get("mode", "grid")),
             protocol=str(data.get("protocol", "dctcp+")),
             rounds=int(data.get("rounds", 20)),
             axes=dict(data.get("axes", {})),
-            samples=int(data.get("samples", 0)),
-            sample_seed=int(data.get("sample_seed", 1)),
         )
 
     @classmethod
@@ -187,12 +125,9 @@ class SweepSpec:
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
-            "mode": self.mode,
             "protocol": self.protocol,
             "rounds": self.rounds,
-            "axes": {k: (dict(v) if _is_range(v) else list(v)) for k, v in self.axes.items()},
-            "samples": self.samples,
-            "sample_seed": self.sample_seed,
+            "axes": {k: list(v) for k, v in self.axes.items()},
         }
 
     def digest(self) -> str:
@@ -229,11 +164,6 @@ class SweepSpec:
 
     def points(self) -> List[ScenarioSpec]:
         """Expand to scenario points, deterministically ordered."""
-        if self.mode == "grid":
-            return self._grid_points()
-        return self._random_points()
-
-    def _grid_points(self) -> List[ScenarioSpec]:
         varying = [axis for axis in AXES if axis in self.axes]
         assignments: List[Dict[str, object]] = [{}]
         for axis in varying:
@@ -243,19 +173,8 @@ class SweepSpec:
             ]
         return [self._make_point(a) for a in assignments]
 
-    def _random_points(self) -> List[ScenarioSpec]:
-        rng = random.Random(self.sample_seed)
-        varying = [axis for axis in AXES if axis in self.axes]
-        out: List[ScenarioSpec] = []
-        for _ in range(self.samples):
-            assignment = {axis: _draw(axis, self.axes[axis], rng) for axis in varying}
-            out.append(self._make_point(assignment))
-        return out
-
     def point_count(self) -> int:
-        """Number of points ``points()`` will produce (cheap for grids)."""
-        if self.mode == "random":
-            return self.samples
+        """Number of points ``points()`` will produce, without expanding."""
         count = 1
         for axis in self.axes:
             count *= len(self.axes[axis])
@@ -306,7 +225,6 @@ def parse_shard(text: str) -> Tuple[int, int]:
 PRESETS: Dict[str, Dict[str, object]] = {
     "ci-512": {
         "name": "ci-512",
-        "mode": "grid",
         "protocol": "dctcp+",
         "rounds": 1,
         "axes": {
@@ -318,27 +236,11 @@ PRESETS: Dict[str, Dict[str, object]] = {
             "seed": [1, 2, 3, 4, 5, 6, 7, 8],
         },
     },
-    "ci-random-64": {
-        "name": "ci-random-64",
-        "mode": "random",
-        "protocol": "dctcp+",
-        "rounds": 1,
-        "samples": 64,
-        "sample_seed": 7,
-        "axes": {
-            "protocol": ["dctcp", "dctcp+"],
-            "n_flows": {"min": 2, "max": 8, "scale": "log", "round": True},
-            "rto_min_ms": {"min": 1.0, "max": 200.0, "scale": "log"},
-            "buffer_bytes": [65536, 131072],
-            "seed": [1, 2, 3, 4],
-        },
-    },
     # 2 x 27 x 12 x 10 x 10 x 16 = 1,036,800 points: where does DCTCP+
     # collapse begin as N x RTOmin x K x buffer vary (Figs. 9-13 pushed
     # to a full phase-boundary map)?
     "phase-1m": {
         "name": "phase-1m",
-        "mode": "grid",
         "protocol": "dctcp+",
         "rounds": 20,
         "axes": {

@@ -10,10 +10,11 @@ One layer shared by experiments, bench and fuzz runs:
   observations read it too); strictly zero-cost when tracing is off.
 - :class:`HookRegistry` — the single fan-out point those hook points talk
   to; the invariant checker and the tracer are both plain subscribers.
-- :class:`Collector` / :class:`PeriodicCollector` — the start/stop +
-  export protocol every probe shares, and the two periodic probes on it:
-  :class:`FlowTracer` (one sender's cwnd/slow_time series, the
-  ``tcp_probe`` analogue) and :class:`QueueSampler` (100 µs queue length).
+- :class:`Collector` — the start/stop + export protocol every probe
+  shares, and the periodic probe on it: :class:`QueueSampler` (100 µs
+  queue length).  Per-flow events (RTOs, slow_time changes, state
+  transitions) are the :class:`Tracer`'s ``rto``/``slow_time``/``state``
+  records.
 - :class:`EngineProfiler` — opt-in dispatch-loop profiling by event kind.
 - :mod:`repro.telemetry.export` — JSONL trace streams, CSV summaries and
   the text tables every experiment prints (:func:`format_table`).
@@ -22,7 +23,7 @@ One layer shared by experiments, bench and fuzz runs:
   (``python -m repro trace`` reports through it).
 """
 
-from .collector import Collector, FlowTracer, PeriodicCollector, QueueSampler
+from .collector import Collector, QueueSampler
 from .export import (
     format_table,
     read_jsonl,
@@ -42,8 +43,6 @@ __all__ = [
     "EVENT_KINDS",
     "HookRegistry",
     "Collector",
-    "PeriodicCollector",
-    "FlowTracer",
     "QueueSampler",
     "EngineProfiler",
     "records_to_jsonl",

@@ -79,13 +79,6 @@ class EmpiricalCDF:
             return math.exp(math.log(v0) + frac * (math.log(v1) - math.log(v0)))
         return v0 + frac * (v1 - v0)
 
-    def mean_estimate(self, n: int = 20001) -> float:
-        """Numerical mean via quantile integration (documentation aid)."""
-        total = 0.0
-        for k in range(1, n + 1):
-            total += self.quantile((k - 0.5) / n)
-        return total / n
-
 
 #: Background flow sizes (bytes), after DCTCP-paper Fig. 4(b): median a few
 #: tens of KB, ~80th percentile around 1 MB, a 1-50 MB byte-dominant tail.

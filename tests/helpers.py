@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.net.pool import PacketPool
+from repro.net.pool import F_CE, PacketPool
 from repro.net.topology import TopologyParams, TwoTierTree, build_star
 from repro.sim.engine import Simulator
 from repro.tcp.config import TcpConfig
@@ -13,14 +13,42 @@ from repro.tcp.sender import TcpSender
 from repro.workloads.ids import next_flow_id
 
 
-def intern(sim: Simulator, packet) -> int:
-    """Copy a legacy :class:`~repro.net.packet.Packet` into ``sim``'s pool.
+def data(
+    sim: Simulator,
+    flow: int,
+    src: int,
+    dst: int,
+    seq: int,
+    length: int,
+    *,
+    ect: bool = False,
+    ce: bool = False,
+    retx: bool = False,
+) -> int:
+    """Allocate a data segment in ``sim``'s pool and return its handle.
 
-    Unit tests build packets with the (stable, public) ``make_data_packet``
-    / ``make_ack_packet`` constructors and hand the interned *handle* to
-    handle-based components (endpoints, queues, links).
+    The id comes from ``sim``, as a sender's would; ``ce`` is OR-ed into the
+    flags afterwards, as a marking switch does.
     """
-    return PacketPool.of(sim).intern(packet)
+    pool = PacketPool.of(sim)
+    h = pool.alloc_data(flow, src, dst, seq, length, ect, retx, sim.next_packet_id())
+    if ce:
+        pool.flags[h] |= F_CE
+    return h
+
+
+def ack(
+    sim: Simulator,
+    flow: int,
+    src: int,
+    dst: int,
+    ack_seq: int,
+    *,
+    ece: bool = False,
+    inc: bool = False,
+) -> int:
+    """Allocate a pure cumulative ACK in ``sim``'s pool and return its handle."""
+    return PacketPool.of(sim).alloc_ack(flow, src, dst, ack_seq, ece, inc, sim.next_packet_id())
 
 
 class Snap:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.net.packet import make_ack_packet
 from repro.net.topology import build_star, build_two_tier
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
@@ -12,7 +11,7 @@ from repro.workloads.ids import next_flow_id
 from repro.workloads.incast import IncastConfig, IncastWorkload
 from repro.workloads.protocols import spec_for
 
-from .helpers import intern
+from .helpers import ack
 
 MSS = 1460
 
@@ -91,7 +90,7 @@ class TestPlusVariant:
         sim, s = harness(cls=D2tcpPlusSender)
         s.cwnd = s.config.min_cwnd_bytes
         s.ssthresh = s.config.min_cwnd_bytes
-        s.on_packet(intern(s.sim, make_ack_packet(s.flow_id, s.dst_node_id, s.host.node_id, MSS, ece=True)))
+        s.on_packet(ack(s.sim, s.flow_id, s.dst_node_id, s.host.node_id, MSS, ece=True))
         assert s.slow_time_ns > 0
 
 

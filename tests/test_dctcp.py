@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.net.packet import make_ack_packet
 from repro.net.topology import TopologyParams, build_star
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
@@ -11,7 +10,7 @@ from repro.tcp.dctcp import DctcpSender
 from repro.tcp.receiver import TcpReceiver
 from repro.workloads.ids import next_flow_id
 
-from .helpers import intern
+from . import helpers
 
 MSS = 1460
 
@@ -28,9 +27,8 @@ def harness(total=40 * MSS, **cfg_overrides):
 
 def ack(sender, ack_seq, ece=False):
     sender.on_packet(
-        intern(
-            sender.sim,
-            make_ack_packet(sender.flow_id, sender.dst_node_id, sender.host.node_id, ack_seq, ece=ece),
+        helpers.ack(
+            sender.sim, sender.flow_id, sender.dst_node_id, sender.host.node_id, ack_seq, ece=ece
         )
     )
 

@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import DctcpPlusConfig
 from repro.core.dctcp_plus import DctcpPlusSender
 from repro.core.states import DctcpPlusState
-from repro.net.packet import make_ack_packet
 from repro.net.topology import build_star
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
@@ -13,7 +12,7 @@ from repro.tcp.config import TcpConfig
 from repro.workloads.ids import next_flow_id
 from repro.workloads.protocols import spec_for
 
-from .helpers import intern
+from . import helpers
 
 MSS = 1460
 
@@ -36,9 +35,8 @@ def harness(total=40 * MSS, plus=None, **cfg_overrides):
 
 def ack(sender, ack_seq, ece=False):
     sender.on_packet(
-        intern(
-            sender.sim,
-            make_ack_packet(sender.flow_id, sender.dst_node_id, sender.host.node_id, ack_seq, ece=ece),
+        helpers.ack(
+            sender.sim, sender.flow_id, sender.dst_node_id, sender.host.node_id, ack_seq, ece=ece
         )
     )
 

@@ -4,13 +4,12 @@ import pytest
 
 from repro.net.host import Host
 from repro.net.link import Link
-from repro.net.packet import make_data_packet
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 from repro.sim.units import MS
 from repro.tcp.delack import DelayedAckReceiver
 
-from .helpers import CaptureEndpoint, intern
+from .helpers import CaptureEndpoint, data
 
 
 class AckTrap(CaptureEndpoint):
@@ -36,9 +35,7 @@ def setup(ack_every=2, delack_timeout_ns=40 * MS):
 
 
 def seg(sim, seq, length=1000, ce=False, ect=True):
-    pkt = make_data_packet(1, 0, 0, seq=seq, payload_len=length, ect=ect)
-    pkt.ce = ce
-    return intern(sim, pkt)
+    return data(sim, 1, 0, 0, seq, length, ect=ect, ce=ce)
 
 
 class TestValidation:

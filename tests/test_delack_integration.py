@@ -7,7 +7,6 @@ estimate remains meaningful — while the ACK-path packet count drops.
 
 import pytest
 
-from repro.net.packet import make_data_packet
 from repro.net.topology import TopologyParams, build_star
 from repro.sim.engine import Simulator
 from repro.tcp.config import TcpConfig
@@ -16,7 +15,7 @@ from repro.tcp.delack import DelayedAckReceiver
 from repro.tcp.receiver import TcpReceiver
 from repro.workloads.ids import next_flow_id
 
-from .helpers import CaptureEndpoint, intern
+from .helpers import CaptureEndpoint, data
 
 TOTAL = 2_000_000
 MSS = 1460
@@ -95,9 +94,7 @@ class TestAlphaPinnedToMarkSequence:
             sim, tree.aggregator, tree.servers[0].node_id, 7, ack_every=2
         )
         for i, ce in enumerate([False, False, True, True, False, False]):
-            pkt = make_data_packet(7, 0, 0, seq=i * MSS, payload_len=MSS, ect=True)
-            pkt.ce = ce
-            recv.on_packet(intern(sim, pkt))
+            recv.on_packet(data(sim, 7, 0, 0, i * MSS, MSS, ect=True, ce=ce))
         sim.run_until_idle()
         # Coalescing: clean pair, marked pair, clean pair -> three ACKs.
         assert [(a.ack_seq, a.ece) for a in acks] == [

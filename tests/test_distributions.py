@@ -125,9 +125,3 @@ class TestExponential:
     def test_rejects_bad_mean(self):
         with pytest.raises(ValueError):
             exponential_interarrival_ns(random.Random(1), 0)
-
-
-class TestMeanEstimate:
-    def test_matches_sampling(self):
-        cdf = EmpiricalCDF([(1.0, 0.0), (10.0, 1.0)], log_interp=False)
-        assert cdf.mean_estimate() == pytest.approx(5.5, rel=0.01)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.faults import drop_data_once, drop_nth, make_lossy, never, random_loss
+from repro.net.pool import PacketPool
 from repro.net.topology import build_star
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
@@ -54,12 +55,13 @@ class TestPolicies:
         assert 0.25 < drops / 10_000 < 0.35
 
     def test_drop_data_once_targets_seq(self):
-        from repro.net.packet import make_ack_packet, make_data_packet
+        from .helpers import ack, data
 
+        sim = Simulator()
+        pool = PacketPool.of(sim)
         policy = drop_data_once(MSS)
-        ack = make_ack_packet(1, 0, 1, ack_seq=MSS)
-        assert not policy(ack, 0)  # ACKs never match
-        hit = make_data_packet(1, 0, 1, seq=MSS, payload_len=MSS)
+        assert not policy(pool.view(ack(sim, 1, 0, 1, MSS)), 0)  # ACKs never match
+        hit = pool.view(data(sim, 1, 0, 1, MSS, MSS))
         assert policy(hit, 1)
         assert not policy(hit, 2)  # only once
 
@@ -247,12 +249,10 @@ class TestLimitedTransmit:
         sender.send(20 * MSS)
         sim.run(until=1)
         sent_before = sender.snd_nxt
-        from repro.net.packet import make_ack_packet
-
-        from .helpers import intern
+        from .helpers import ack
 
         for _ in range(2):  # two dupACKs -> at most two extra segments
             sender.on_packet(
-                intern(sim, make_ack_packet(flow, sender.dst_node_id, sender.host.node_id, 0))
+                ack(sim, flow, sender.dst_node_id, sender.host.node_id, 0)
             )
         assert sender.snd_nxt <= sent_before + 2 * MSS

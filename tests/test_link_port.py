@@ -5,15 +5,14 @@ import pytest
 from repro.net.faults import drop_nth, make_lossy
 from repro.net.link import DEFAULT_PROP_DELAY_NS, Link
 from repro.net.node import Node
-from repro.net.packet import make_data_packet
-from repro.net.pool import PacketPool
+from repro.net.pool import HEADER_BYTES, PacketPool
 from repro.net.port import OutputPort
 from repro.net.queues import DropTailQueue
 from repro.net.shared_buffer import SharedBufferSwitch, _PooledQueue
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS
 
-from .helpers import intern
+from .helpers import data
 
 
 class Sink(Node):
@@ -37,8 +36,7 @@ def make_port(sim, sink, rate=GBPS, prop=10_000, capacity=1_000_000):
 class TestLink:
     def test_serialization_delay(self):
         link = Link(None, GBPS, 0)
-        pkt = make_data_packet(1, 0, 1, seq=0, payload_len=1460)
-        assert link.serialization_delay(pkt.wire_bytes) == 12_000  # 1500 B at 1 Gbps
+        assert link.serialization_delay(1460 + HEADER_BYTES) == 12_000  # 1500 B at 1 Gbps
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
@@ -52,7 +50,7 @@ class TestLink:
         sim = Simulator()
         sink = Sink(sim)
         port = make_port(sim, sink)
-        port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460)))
+        port.send(data(sim, 1, 0, sink.node_id, 0, 1460))
         sim.run_until_idle()
         assert port.link.delivered_packets == 1
         assert port.link.delivered_bytes == 1500
@@ -63,7 +61,7 @@ class TestOutputPort:
         sim = Simulator()
         sink = Sink(sim)
         port = make_port(sim, sink, prop=10_000)
-        port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460)))
+        port.send(data(sim, 1, 0, sink.node_id, 0, 1460))
         sim.run_until_idle()
         # 12 us serialization + 10 us propagation
         assert sink.arrivals[0][0] == 22_000
@@ -73,7 +71,7 @@ class TestOutputPort:
         sink = Sink(sim)
         port = make_port(sim, sink)
         for i in range(3):
-            port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=i, payload_len=1460)))
+            port.send(data(sim, 1, 0, sink.node_id, i, 1460))
         sim.run_until_idle()
         times = [t for t, _ in sink.arrivals]
         assert times[1] - times[0] == 12_000
@@ -84,7 +82,7 @@ class TestOutputPort:
         sink = Sink(sim)
         port = make_port(sim, sink)
         handles = [
-            intern(sim, make_data_packet(1, 0, sink.node_id, seq=i, payload_len=100))
+            data(sim, 1, 0, sink.node_id, i, 100)
             for i in range(10)
         ]
         for h in handles:
@@ -96,10 +94,10 @@ class TestOutputPort:
         sim = Simulator()
         sink = Sink(sim)
         port = make_port(sim, sink)
-        port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460)))
+        port.send(data(sim, 1, 0, sink.node_id, 0, 1460))
         sim.run_until_idle()
         t_first = sink.arrivals[0][0]
-        port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=1, payload_len=1460)))
+        port.send(data(sim, 1, 0, sink.node_id, 1, 1460))
         sim.run_until_idle()
         assert sink.arrivals[1][0] == sim.now
         assert sink.arrivals[1][0] > t_first
@@ -110,16 +108,16 @@ class TestOutputPort:
         port = make_port(sim, sink, capacity=1500)
         # first packet starts serializing immediately (leaves the queue),
         # second occupies the whole buffer, third is tail-dropped
-        assert port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460)))
-        assert port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=1, payload_len=1460)))
-        assert not port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=2, payload_len=1460)))
+        assert port.send(data(sim, 1, 0, sink.node_id, 0, 1460))
+        assert port.send(data(sim, 1, 0, sink.node_id, 1, 1460))
+        assert not port.send(data(sim, 1, 0, sink.node_id, 2, 1460))
 
     def test_backlog_excludes_in_flight_frame(self):
         sim = Simulator()
         sink = Sink(sim)
         port = make_port(sim, sink)
-        port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460)))
-        port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=1, payload_len=1460)))
+        port.send(data(sim, 1, 0, sink.node_id, 0, 1460))
+        port.send(data(sim, 1, 0, sink.node_id, 1, 1460))
         # first frame started serializing immediately, second waits
         assert port.backlog_bytes == 1500
 
@@ -128,7 +126,7 @@ class TestOutputPort:
         sink = Sink(sim)
         port = make_port(sim, sink)
         for i in range(4):
-            port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=i, payload_len=1460)))
+            port.send(data(sim, 1, 0, sink.node_id, i, 1460))
         sim.run_until_idle()
         assert port.tx_packets == 4
         assert port.tx_bytes == 4 * 1500
@@ -174,14 +172,14 @@ class TestIdlePortCutThrough:
         sink = Sink(sim)
         port = make_port(sim, sink)
         q = port.queue
-        assert port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460)))
+        assert port.send(data(sim, 1, 0, sink.node_id, 0, 1460))
         assert spy.ops == 0 and q.is_empty
         assert q.occupancy_bytes == 0
         assert q.enqueued_packets == q.dequeued_packets == 1
         assert q.enqueued_bytes == q.dequeued_bytes == 1500
         assert port._busy
         # The next arrival finds the port busy and queues behind it.
-        h = intern(sim, make_data_packet(1, 0, sink.node_id, seq=1, payload_len=1460))
+        h = data(sim, 1, 0, sink.node_id, 1, 1460)
         assert port.send(h)
         assert spy.ops == 1 and list(q) == [h] and q.occupancy_bytes == 1500
         sim.run_until_idle()
@@ -201,7 +199,7 @@ class TestIdlePortCutThrough:
                 sim.at(
                     at,
                     lambda s=seq, n=size: port.send(
-                        intern(sim, make_data_packet(1, 0, sink.node_id, seq=s, payload_len=n))
+                        data(sim, 1, 0, sink.node_id, s, n)
                     ),
                 )
             sim.run_until_idle()
@@ -223,7 +221,7 @@ class TestIdlePortCutThrough:
         sink = Sink(sim)
         port = make_port(sim, sink, capacity=1000)
         pool = PacketPool.of(sim)
-        h = intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460))
+        h = data(sim, 1, 0, sink.node_id, 0, 1460)
         assert not port.send(h)
         q = port.queue
         assert q.dropped_packets == 1 and q.dropped_bytes == 1500
@@ -246,7 +244,7 @@ class TestIdlePortCutThrough:
         peaks = []
 
         def send(seq):
-            port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=seq, payload_len=1460)))
+            port.send(data(sim, 1, 0, sink.node_id, seq, 1460))
             peaks.append((q.peak_bytes, q.peak_ns))
 
         sim.at(0, send, 0)
@@ -271,7 +269,7 @@ class TestIdlePortCutThrough:
         sink = Sink(sim)
         port = switch.add_port(Link(sink))
         assert not port._plain_queue
-        h = intern(sim, make_data_packet(1, 0, sink.node_id, seq=0, payload_len=1460))
+        h = data(sim, 1, 0, sink.node_id, 0, 1460)
         assert port.send(h)
         assert calls == [h]
         assert (port.queue.peak_bytes, port.queue.peak_ns) == (1500, 0)
@@ -286,7 +284,7 @@ class TestIdlePortCutThrough:
         port.link = make_lossy(port.link, drop_nth(0))
         assert port._finish == port._finish_tx_indirect
         for i in range(2):
-            port.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=i, payload_len=1460)))
+            port.send(data(sim, 1, 0, sink.node_id, i, 1460))
         sim.run_until_idle()
         # The first frame cut through the idle port and still met the
         # faulty link's propagate, which dropped it.

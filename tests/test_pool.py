@@ -1,13 +1,25 @@
-"""Tests for the struct-of-arrays packet pool (handles, recycling, growth)."""
+"""Tests for the struct-of-arrays packet pool: the packet model (wire sizes,
+flag bits, ids), handles, recycling and growth."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.exec.scenario import ScenarioSpec, run_scenario
-from repro.net.packet import ACK_BYTES, HEADER_BYTES, make_ack_packet, make_data_packet
-from repro.net.pool import DEFAULT_CAPACITY, F_ACK, F_CE, NIL, PacketPool, PoolError
+from repro.net.pool import (
+    ACK_BYTES,
+    DEFAULT_CAPACITY,
+    F_ACK,
+    F_CE,
+    HEADER_BYTES,
+    NIL,
+    UNASSIGNED_PACKET_ID,
+    PacketPool,
+    PoolError,
+)
 from repro.sim.engine import Simulator
 from repro.validate import InvariantChecker, InvariantViolation
+
+from .helpers import ack, data
 
 
 class TestAllocation:
@@ -36,18 +48,16 @@ class TestAllocation:
         v = pool.view(h)
         assert not v.is_ack and v.wire_bytes == 64 and v.payload_len == 0
 
-    def test_intern_round_trips_every_flag(self):
-        pool = PacketPool()
-        pkt = make_data_packet(5, 3, 4, seq=100, payload_len=200, ect=True)
-        pkt.ce = True
-        pkt.is_retransmit = True
-        v = pool.view(pool.intern(pkt))
+    def test_every_flag_bit_round_trips(self):
+        sim = Simulator()
+        pool = PacketPool.of(sim)
+        v = pool.view(data(sim, 5, 3, 4, 100, 200, ect=True, ce=True, retx=True))
         assert (v.flow_id, v.src, v.dst, v.seq, v.payload_len) == (5, 3, 4, 100, 200)
         assert v.ect and v.ce and v.is_retransmit and not v.is_ack
-        ack = make_ack_packet(5, 4, 3, ack_seq=300, ece=True)
-        ack.inc = True
-        va = pool.view(pool.intern(ack))
+        assert not (v.ece or v.inc)
+        va = pool.view(ack(sim, 5, 4, 3, 300, ece=True, inc=True))
         assert va.is_ack and va.ece and va.inc and va.ack_seq == 300
+        assert not (va.ect or va.ce or va.is_retransmit)
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
@@ -59,6 +69,108 @@ class TestAllocation:
         pool = PacketPool.of(sim)
         assert sim.pool is pool
         assert PacketPool.of(sim) is pool
+
+
+class TestDataPacket:
+    """Wire size, flag bits and ids of pool-allocated data segments."""
+
+    def test_wire_size_includes_header(self):
+        sim = Simulator()
+        h = data(sim, 1, 10, 20, 0, 1460)
+        assert PacketPool.of(sim).wire_bytes[h] == 1460 + HEADER_BYTES
+
+    def test_end_seq(self):
+        sim = Simulator()
+        assert PacketPool.of(sim).view(data(sim, 1, 10, 20, 1000, 500)).end_seq == 1500
+
+    def test_ect_flag(self):
+        sim = Simulator()
+        pool = PacketPool.of(sim)
+        assert pool.view(data(sim, 1, 0, 1, 0, 1, ect=True)).ect
+        assert not pool.view(data(sim, 1, 0, 1, 0, 1)).ect
+
+    def test_ce_starts_clear(self):
+        sim = Simulator()
+        assert not PacketPool.of(sim).view(data(sim, 1, 0, 1, 0, 1, ect=True)).ce
+
+    def test_retransmit_flag(self):
+        sim = Simulator()
+        pool = PacketPool.of(sim)
+        assert pool.view(data(sim, 1, 0, 1, 0, 1, retx=True)).is_retransmit
+        assert not pool.view(data(sim, 1, 0, 1, 0, 1)).is_retransmit
+
+    def test_ids_come_from_the_owning_simulator(self):
+        # A fresh slot carries no id (there is no hidden process-global
+        # counter behind the pool); ids are drawn from the simulator.
+        pool = PacketPool()
+        assert pool.packet_id == [UNASSIGNED_PACKET_ID] * pool.capacity
+        sim = Simulator(seed=1)
+        a, b = data(sim, 1, 0, 1, 0, 1), ack(sim, 1, 1, 0, 1)
+        ids = PacketPool.of(sim).packet_id
+        assert UNASSIGNED_PACKET_ID not in (ids[a], ids[b])
+        assert ids[b] == ids[a] + 1
+        assert Simulator(seed=1).next_packet_id() == ids[a]  # per-simulator
+
+    def test_back_to_back_simulations_emit_identical_id_streams(self):
+        """Packet ids are per-simulator state: two identical simulations in
+        one process observe the same ids packet-for-packet (there is no
+        process-global counter for the first run to advance)."""
+        from repro.net.faults import make_lossy
+        from repro.net.topology import build_two_tier
+        from repro.workloads.incast import IncastConfig, IncastWorkload
+        from repro.workloads.protocols import spec_for
+
+        def run_once():
+            sim = Simulator(seed=3)
+            tree = build_two_tier(sim)
+            seen = []
+
+            def record(packet, index):
+                seen.append(packet.packet_id)
+                return False  # never drop; the policy is a tap
+
+            port = tree.bottleneck_port
+            port.link = make_lossy(port.link, record)
+            wl = IncastWorkload(sim, tree, spec_for("dctcp"), IncastConfig(n_flows=4, n_rounds=2))
+            wl.run_to_completion(max_events=5_000_000)
+            wl.close()
+            return seen
+
+        first = run_once()
+        second = run_once()
+        assert len(first) > 100
+        assert first == second
+
+
+class TestAckPacket:
+    def test_fixed_wire_size(self):
+        sim = Simulator()
+        v = PacketPool.of(sim).view(ack(sim, 1, 20, 10, 5000))
+        assert v.wire_bytes == ACK_BYTES
+        assert v.is_ack
+
+    def test_ece_echo(self):
+        sim = Simulator()
+        pool = PacketPool.of(sim)
+        assert pool.view(ack(sim, 1, 0, 1, 0, ece=True)).ece
+        assert not pool.view(ack(sim, 1, 0, 1, 0)).ece
+
+    def test_addressing(self):
+        sim = Simulator()
+        v = PacketPool.of(sim).view(ack(sim, 9, 20, 10, 42))
+        assert (v.flow_id, v.src, v.dst, v.ack_seq) == (9, 20, 10, 42)
+
+
+class TestExplicitWireBytes:
+    def test_control_packet_size(self):
+        pool = PacketPool()
+        h = pool.alloc_control(1, 0, 1, wire_bytes=64, packet_id=0)
+        assert pool.wire_bytes[h] == 64 and pool.flags[h] == 0
+
+    def test_default_derives_from_payload(self):
+        sim = Simulator()
+        h = data(sim, 1, 0, 1, 0, 100)
+        assert PacketPool.of(sim).wire_bytes[h] == 100 + HEADER_BYTES
 
 
 class TestRecycling:
@@ -168,7 +280,7 @@ class TestLinkFreelist:
         capacity=st.integers(1, 8),
         ops=st.lists(
             st.one_of(
-                st.tuples(st.just("alloc"), st.sampled_from(["data", "ack", "control", "intern"])),
+                st.tuples(st.just("alloc"), st.sampled_from(["data", "ack", "control"])),
                 st.tuples(st.just("free"), st.integers(0, 1000)),
                 st.tuples(st.just("grow"), st.none()),
             ),
@@ -185,10 +297,8 @@ class TestLinkFreelist:
                     h = pool.alloc_data(1, 0, 1, 0, 100, True, False, 0)
                 elif arg == "ack":
                     h = pool.alloc_ack(1, 1, 0, 100, False, False, 0)
-                elif arg == "control":
-                    h = pool.alloc_control(1, 0, 1, 64, 0)
                 else:
-                    h = pool.intern(make_data_packet(1, 0, 1, seq=0, payload_len=10))
+                    h = pool.alloc_control(1, 0, 1, 64, 0)
                 assert h == ref.alloc()
                 live.append(h)
             elif op == "free" and live:

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import repro
 
-#: The v1.6 public surface.  Extend when the API grows; removing a name
+#: The v1.7 public surface.  Extend when the API grows; removing a name
 #: is a breaking change and should be a conscious decision.
 EXPECTED_SURFACE = {
     # simulator + topology
     "Simulator",
     "Host",
     "Link",
-    "Packet",
     "Switch",
     "TopologyParams",
     "TwoTierTree",
@@ -66,12 +65,10 @@ EXPECTED_SURFACE = {
     "spec_for",
     # flow stats + telemetry
     "FlowStats",
-    "FlowTracer",
     "QueueSampler",
     "Tracer",
     "TraceRecord",
     "Collector",
-    "PeriodicCollector",
     "EngineProfiler",
     # exec
     "ScenarioSpec",
@@ -112,9 +109,9 @@ def test_cc_registry_exported():
 
 
 def test_telemetry_collectors_share_the_protocol():
-    from repro import Collector, EngineProfiler, FlowTracer, QueueSampler, Tracer
+    from repro import Collector, EngineProfiler, QueueSampler, Tracer
 
-    for cls in (FlowTracer, QueueSampler, Tracer, EngineProfiler):
+    for cls in (QueueSampler, Tracer, EngineProfiler):
         assert issubclass(cls, Collector)
 
 

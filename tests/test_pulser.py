@@ -3,7 +3,6 @@
 import pytest
 
 from repro.exec.scenario import ScenarioSpec, run_scenario
-from repro.net.packet import make_ack_packet, make_data_packet
 from repro.net.queues import DropTailQueue
 from repro.net.topology import TopologyParams, build_star, build_two_tier
 from repro.sim.engine import Simulator
@@ -12,17 +11,18 @@ from repro.tcp.config import TcpConfig
 from repro.tcp.pulser import INC_BACKOFF_FACTOR, PulserSender, install_incast_notification
 from repro.tcp.receiver import TcpReceiver
 from repro.workloads.ids import next_flow_id
-from repro.net.pool import PacketPool
+from repro.net.pool import F_INC, PacketPool
 
-from .helpers import CaptureEndpoint, intern
+from .helpers import CaptureEndpoint, data
 
 MSS = 1460
 
 
 def seg(sim, seq, inc=False):
-    pkt = make_data_packet(1, 0, 0, seq=seq, payload_len=1000, ect=True)
-    pkt.inc = inc
-    return intern(sim, pkt)
+    h = data(sim, 1, 0, 0, seq, 1000, ect=True)
+    if inc:
+        PacketPool.of(sim).flags[h] |= F_INC
+    return h
 
 
 class TestQueueMarking:
@@ -92,10 +92,8 @@ class TestReceiverEcho:
         trap = CaptureEndpoint(sim)
         tree.servers[0].register_flow(1, trap)
         recv = TcpReceiver(sim, tree.aggregator, tree.servers[0].node_id, 1)
-        marked = make_data_packet(1, 0, 0, seq=0, payload_len=1000, ect=True)
-        marked.inc = True
-        recv.on_packet(intern(sim, marked))
-        recv.on_packet(intern(sim, make_data_packet(1, 0, 0, seq=1000, payload_len=1000, ect=True)))
+        recv.on_packet(seg(sim, 0, inc=True))
+        recv.on_packet(data(sim, 1, 0, 0, 1000, 1000, ect=True))
         sim.run_until_idle()
         assert [a.inc for a in trap.packets] == [True, False]
 

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.net.packet import make_data_packet
 from repro.net.topology import build_star
 from repro.sim.engine import Simulator
 from repro.sim.units import US
 from repro.telemetry.collector import QueueSampler
 from repro.telemetry.taxonomy import Summary, cdf_at
 
-from .helpers import intern
+from .helpers import data
 
 
 def setup():
@@ -34,9 +33,7 @@ class TestSampling:
         sampler = QueueSampler(sim, port)
         # park packets in the queue (one serializes, the rest wait)
         for i in range(5):
-            port.send(
-                intern(sim, make_data_packet(1, 0, tree.aggregator.node_id, seq=i, payload_len=1460))
-            )
+            port.send(data(sim, 1, 0, tree.aggregator.node_id, i, 1460))
         sampler.start()
         sim.run(max_events=1)  # take the t=0 sample only
         assert sampler.occupancy_bytes[0] == 4 * 1500
@@ -59,6 +56,24 @@ class TestSampling:
         sim.run(until=200 * US)
         # one sampling chain, not two
         assert len(sampler.times_ns) == 3
+
+    def test_stop_after_a_stopped_tick_cannot_cancel_recycled_event(self):
+        # Regression: a tick that finds the sampler stopped returns early.
+        # Its event has fired and goes to the engine freelist, so a stale
+        # handle to it must not let a later stop() cancel whatever
+        # unrelated event reuses the carcass.
+        sim, tree, port = setup()
+        sampler = QueueSampler(sim, port, interval_ns=100 * US)
+        sampler.start()
+        sim.run(until=200 * US)
+        sampler.running = False  # the next tick finds the sampler stopped
+        sim.run_until_idle()
+        assert len(sampler.times_ns) == 3
+        seen = []
+        sim.schedule(1_000, seen.append, "alive")  # reuses the tick carcass
+        sampler.stop()
+        sim.run_until_idle()
+        assert seen == ["alive"]
 
     def test_rejects_bad_interval(self):
         sim, tree, port = setup()

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.net.link import Link
 from repro.net.node import Node
-from repro.net.packet import make_data_packet
-from repro.net.pool import NIL, PacketPool
+from repro.net.pool import F_CE, NIL, PacketPool
 from repro.net.port import OutputPort
 from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
@@ -16,13 +15,14 @@ from repro.validate import InvariantViolation
 
 
 def _fresh():
-    """A standalone pool + a packet factory interning into it."""
+    """A standalone pool + a data-segment factory allocating in it."""
     pool = PacketPool()
 
     def pkt(payload=1460, ect=True, flow=1, ce=False):
-        p = make_data_packet(flow, 0, 1, seq=0, payload_len=payload, ect=ect)
-        p.ce = ce
-        return pool.intern(p)
+        h = pool.alloc_data(flow, 0, 1, 0, payload, ect, False, 0)
+        if ce:
+            pool.flags[h] |= F_CE
+        return h
 
     return pool, pkt
 

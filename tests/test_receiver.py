@@ -2,11 +2,10 @@
 
 from repro.net.host import Host
 from repro.net.link import Link
-from repro.net.packet import make_data_packet
 from repro.sim.engine import Simulator
 from repro.tcp.receiver import TcpReceiver
 
-from .helpers import CaptureEndpoint, intern
+from .helpers import CaptureEndpoint, ack, data
 
 
 class AckTrap(CaptureEndpoint):
@@ -37,9 +36,7 @@ def setup(expected=None, on_data=None, on_complete=None):
 
 
 def seg(sim, seq, length, ce=False):
-    pkt = make_data_packet(1, 0, 0, seq=seq, payload_len=length, ect=True)
-    pkt.ce = ce
-    return intern(sim, pkt)
+    return data(sim, 1, 0, 0, seq, length, ect=True, ce=ce)
 
 
 class TestInOrder:
@@ -169,8 +166,6 @@ class TestCompletion:
         b.register_flow(1, AckTrap(sim))  # slot is free again
 
     def test_stray_ack_ignored(self):
-        from repro.net.packet import make_ack_packet
-
         sim, a, b, recv, trap = setup()
-        recv.on_packet(intern(sim, make_ack_packet(1, 0, 0, ack_seq=100)))
+        recv.on_packet(ack(sim, 1, 0, 0, 100))
         assert recv.rcv_nxt == 0

@@ -2,7 +2,6 @@
 
 from repro.core.reno_plus import RenoPlusSender
 from repro.core.states import DctcpPlusState
-from repro.net.packet import make_ack_packet
 from repro.net.topology import build_star
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
@@ -11,7 +10,7 @@ from repro.workloads.ids import next_flow_id
 from repro.workloads.incast import IncastConfig, IncastWorkload
 from repro.workloads.protocols import spec_for
 
-from .helpers import intern
+from .helpers import ack
 
 MSS = 1460
 
@@ -44,7 +43,7 @@ class TestConstruction:
 class TestLossChannelDrive:
     def test_clean_acks_keep_normal(self):
         sim, s = harness()
-        s.on_packet(intern(s.sim, make_ack_packet(s.flow_id, s.dst_node_id, s.host.node_id, MSS)))
+        s.on_packet(ack(s.sim, s.flow_id, s.dst_node_id, s.host.node_id, MSS))
         assert s.state is DctcpPlusState.NORMAL
 
     def test_timeout_engages_machine(self):
@@ -58,14 +57,14 @@ class TestLossChannelDrive:
         sim, s = harness()
         sim.run(until=sim.now + 6 * MS)  # one RTO
         level = s.slow_time_ns
-        s.on_packet(intern(s.sim, make_ack_packet(s.flow_id, s.dst_node_id, s.host.node_id, s.snd_una + MSS)))
+        s.on_packet(ack(s.sim, s.flow_id, s.dst_node_id, s.host.node_id, s.snd_una + MSS))
         assert s.slow_time_ns > level
 
     def test_post_recovery_clean_acks_relax(self):
         sim, s = harness()
         high_water = s.snd_nxt
         sim.run(until=sim.now + 6 * MS)
-        s.on_packet(intern(s.sim, make_ack_packet(s.flow_id, s.dst_node_id, s.host.node_id, high_water)))
+        s.on_packet(ack(s.sim, s.flow_id, s.dst_node_id, s.host.node_id, high_water))
         assert not s.in_rto_recovery
         # let the sender push new data past the old high-water mark (the
         # pacer defers it by slow_time, so give it a few milliseconds),
@@ -73,12 +72,7 @@ class TestLossChannelDrive:
         sim.run(until=sim.now + 3 * MS)
         assert s.snd_nxt > high_water
         s.on_packet(
-            intern(
-                s.sim,
-                make_ack_packet(
-                    s.flow_id, s.dst_node_id, s.host.node_id, min(s.snd_nxt, high_water + MSS)
-                ),
-            )
+            ack(s.sim, s.flow_id, s.dst_node_id, s.host.node_id, min(s.snd_nxt, high_water + MSS))
         )
         assert s.state in (DctcpPlusState.TIME_DES, DctcpPlusState.NORMAL)
 

@@ -8,7 +8,6 @@ sequences, ECE bits and timing.
 
 import pytest
 
-from repro.net.packet import make_ack_packet
 from repro.net.topology import build_star
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
@@ -17,7 +16,7 @@ from repro.tcp.sender import TcpSender
 from repro.tcp.timeouts import TimeoutKind
 from repro.workloads.ids import next_flow_id
 
-from .helpers import intern
+from . import helpers
 
 MSS = 1460
 
@@ -34,8 +33,11 @@ def harness(total=20 * MSS, **cfg_overrides):
 
 
 def ack(sender, ack_seq, ece=False):
-    pkt = make_ack_packet(sender.flow_id, sender.dst_node_id, sender.host.node_id, ack_seq, ece=ece)
-    sender.on_packet(intern(sender.sim, pkt))
+    sender.on_packet(
+        helpers.ack(
+            sender.sim, sender.flow_id, sender.dst_node_id, sender.host.node_id, ack_seq, ece=ece
+        )
+    )
 
 
 class TestWindowAndSending:

@@ -14,7 +14,6 @@ from repro.core.config import DctcpPlusConfig
 from repro.core.dctcp_plus import DctcpPlusSender
 from repro.core.state_machine import SlowTimeStateMachine
 from repro.core.states import DctcpPlusState
-from repro.net.packet import make_ack_packet
 from repro.net.topology import build_star
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
@@ -23,7 +22,7 @@ from repro.tcp.dctcp import DctcpSender
 from repro.tcp.sender import TcpSender
 from repro.workloads.ids import next_flow_id
 
-from .helpers import intern
+from .helpers import ack
 
 MSS = 1460
 TOTAL = 30 * MSS
@@ -91,13 +90,7 @@ class TestAckFuzz:
                 sim.run(until=sim.now + delay)
             ack_seq = min(seg_offset * MSS, TOTAL)
             sender.on_packet(
-                intern(
-                    sim,
-                    make_ack_packet(
-                        sender.flow_id, sender.dst_node_id, sender.host.node_id,
-                        ack_seq, ece=ece,
-                    ),
-                )
+                ack(sim, sender.flow_id, sender.dst_node_id, sender.host.node_id, ack_seq, ece=ece)
             )
             check_invariants(sender)
         # drain whatever the fuzz left behind; state must stay legal
@@ -190,12 +183,9 @@ class TestDctcpPlusSenderMachineProperties:
             before = machine.slow_time_ns
             state_before = machine.state
             sender.on_packet(
-                intern(
-                    sim,
-                    make_ack_packet(
-                        sender.flow_id, sender.dst_node_id, sender.host.node_id,
-                        min(seg_offset * MSS, TOTAL), ece=ece,
-                    ),
+                ack(
+                    sim, sender.flow_id, sender.dst_node_id, sender.host.node_id,
+                    min(seg_offset * MSS, TOTAL), ece=ece,
                 )
             )
             after = machine.slow_time_ns
@@ -225,12 +215,9 @@ class TestMonotonicity:
         high_water = 0
         for seg in acks:
             sender.on_packet(
-                intern(
-                    sim,
-                    make_ack_packet(
-                        sender.flow_id, sender.dst_node_id, sender.host.node_id,
-                        min(seg * MSS, TOTAL),
-                    ),
+                ack(
+                    sim, sender.flow_id, sender.dst_node_id, sender.host.node_id,
+                    min(seg * MSS, TOTAL),
                 )
             )
             assert sender.snd_una >= high_water

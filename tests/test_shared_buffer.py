@@ -4,12 +4,11 @@ import pytest
 
 from repro.net.host import Host
 from repro.net.link import Link
-from repro.net.packet import make_data_packet
 from repro.net.shared_buffer import SharedBufferSwitch
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 
-from .helpers import intern
+from .helpers import data
 
 
 def wire(sim, switch):
@@ -28,7 +27,7 @@ def fill(port, n, dst, size=1460):
     sim = port.sim
     sent = 0
     for i in range(n):
-        if port.send(intern(sim, make_data_packet(1, 0, dst, seq=i * size, payload_len=size))):
+        if port.send(data(sim, 1, 0, dst, i * size, size)):
             sent += 1
     return sent
 
@@ -100,10 +99,10 @@ class TestForwarding:
 
         sink = Sink(sim)
         b.register_flow(9, sink)
-        a.send(intern(sim, make_data_packet(9, a.node_id, b.node_id, seq=0, payload_len=10)))
+        a.send(data(sim, 9, a.node_id, b.node_id, 0, 10))
         sim.run_until_idle()
         assert sink.n == 1
-        a.send(intern(sim, make_data_packet(9, a.node_id, 424242, seq=0, payload_len=10)))
+        a.send(data(sim, 9, a.node_id, 424242, 0, 10))
         sim.run_until_idle()
         assert switch.unroutable_drops == 1
 

@@ -20,7 +20,6 @@ from repro.sweep.cli import main as sweep_main
 
 SMALL = {
     "name": "small",
-    "mode": "grid",
     "rounds": 1,
     "axes": {"protocol": ["dctcp", "dctcp+"], "n_flows": [2, 3], "seed": [1, 2]},
 }
@@ -211,7 +210,7 @@ class TestCli:
 
     def test_run_preset(self, tmp_path, capsys):
         store = str(tmp_path / "s.sqlite")
-        assert sweep_main(["run", "--preset", "ci-random-64", "--store", store,
+        assert sweep_main(["run", "--preset", "ci-512", "--store", store,
                            "--limit", "2", "--no-progress"]) == 0
         assert "2 computed" in capsys.readouterr().out
 

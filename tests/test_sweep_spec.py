@@ -27,7 +27,6 @@ from repro.sweep import (
 
 SMALL = {
     "name": "small",
-    "mode": "grid",
     "rounds": 1,
     "axes": {
         "protocol": ["dctcp", "dctcp+"],
@@ -110,43 +109,6 @@ class TestGridExpansion:
         assert len({p.cache_key() for p in points}) == 6
 
 
-class TestRandomExpansion:
-    def test_draws_are_seed_deterministic(self):
-        spec = preset("ci-random-64")
-        assert [p.cache_key() for p in spec.points()] == [
-            p.cache_key() for p in preset("ci-random-64").points()
-        ]
-
-    def test_sample_seed_changes_the_draw(self):
-        base = PRESETS["ci-random-64"]
-        a = SweepSpec.from_dict(base).points()
-        b = SweepSpec.from_dict(dict(base, sample_seed=99)).points()
-        assert [p.cache_key() for p in a] != [p.cache_key() for p in b]
-
-    def test_ranges_are_respected_and_integer_axes_stay_integral(self):
-        spec = SweepSpec.from_dict(
-            {
-                "name": "r",
-                "mode": "random",
-                "samples": 50,
-                "sample_seed": 3,
-                "axes": {
-                    "n_flows": {"min": 2, "max": 9, "scale": "log"},
-                    "rto_min_ms": {"min": 1.0, "max": 100.0},
-                },
-            }
-        )
-        for point in spec.points():
-            assert 2 <= point.n_flows <= 9
-            assert isinstance(point.n_flows, int)
-            rto_ns = dict(point.tcp_overrides)["rto_min_ns"]
-            assert 1e6 <= rto_ns <= 100e6
-
-    def test_random_mode_requires_samples(self):
-        with pytest.raises(SweepSpecError):
-            SweepSpec.from_dict({"name": "r", "mode": "random", "axes": {"n_flows": [2]}})
-
-
 class TestValidation:
     def test_unknown_axis_rejected(self):
         with pytest.raises(SweepSpecError, match="unknown axes"):
@@ -157,19 +119,18 @@ class TestValidation:
             SweepSpec.from_dict({"name": "x", "shards": 4})
 
     def test_grid_rejects_ranges(self):
-        with pytest.raises(SweepSpecError, match="mode='random'"):
+        with pytest.raises(SweepSpecError, match="expected a value list"):
             SweepSpec.from_dict({"name": "x", "axes": {"n_flows": {"min": 2, "max": 4}}})
 
-    def test_bad_ranges_rejected(self):
-        for axes in (
-            {"n_flows": {"min": 9, "max": 2}},
-            {"n_flows": {"min": 2}},
-            {"n_flows": {"min": 0, "max": 4, "scale": "log"}},
-            {"n_flows": {"min": 2, "max": 4, "scale": "cubic"}},
-            {"n_flows": {"min": 2, "max": 4, "step": 1}},
-        ):
-            with pytest.raises(SweepSpecError):
-                SweepSpec.from_dict({"name": "x", "mode": "random", "samples": 1, "axes": axes})
+    def test_random_mode_keys_are_refused(self):
+        # Sweeps are grids only: a spec written for the old seeded-random
+        # mode gets the typed error naming every key it may no longer carry.
+        random_spec = {"name": "r", "mode": "random", "samples": 64, "axes": {"n_flows": [2]}}
+        with pytest.raises(SweepSpecError, match=r"unknown sweep-spec keys \['mode', 'samples'\]"):
+            SweepSpec.from_dict(random_spec)
+        with pytest.raises(SweepSpecError, match=r"unknown sweep-spec keys \['mode'\]"):
+            SweepSpec.from_dict({"name": "g", "mode": "grid", "axes": {"n_flows": [2]}})
+        assert "mode" not in small_spec().to_dict()
 
     def test_non_integer_values_on_integer_axes_rejected(self):
         with pytest.raises(SweepSpecError, match="expected integers"):

@@ -5,13 +5,12 @@ import pytest
 from repro.net.faults import drop_nth, make_lossy, never
 from repro.net.host import Host
 from repro.net.link import Link
-from repro.net.packet import Packet, make_data_packet
 from repro.net.pool import PacketPool
 from repro.net.shared_buffer import SharedBufferSwitch
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 
-from .helpers import CaptureEndpoint as Endpoint, intern
+from .helpers import CaptureEndpoint as Endpoint, data
 
 
 def wire(sim):
@@ -33,14 +32,14 @@ class TestSwitch:
         switch, a, b = wire(sim)
         ep = Endpoint(sim)
         b.register_flow(1, ep)
-        a.send(intern(sim, make_data_packet(1, a.node_id, b.node_id, seq=0, payload_len=100)))
+        a.send(data(sim, 1, a.node_id, b.node_id, 0, 100))
         sim.run_until_idle()
         assert len(ep.packets) == 1
 
     def test_unroutable_counted_and_dropped(self):
         sim = Simulator()
         switch, a, b = wire(sim)
-        a.send(intern(sim, make_data_packet(1, a.node_id, 99_999, seq=0, payload_len=100)))
+        a.send(data(sim, 1, a.node_id, 99_999, 0, 100))
         sim.run_until_idle()
         assert switch.unroutable_drops == 1
 
@@ -84,7 +83,7 @@ class TestDepartureRouting:
         sim = Simulator()
         switch, a, b = wire(sim)
         pool = PacketPool.of(sim)
-        h = intern(sim, make_data_packet(1, a.node_id, 99_999, seq=0, payload_len=100))
+        h = data(sim, 1, a.node_id, 99_999, 0, 100)
         link = a.nic.link
         arrival = link.serialization_delay(pool.wire_bytes[h]) + link.prop_delay_ns
         seen = []
@@ -101,7 +100,7 @@ class TestDepartureRouting:
         switch, a, b = wire(sim)
         ep = Endpoint(sim)
         b.register_flow(1, ep)
-        a.send(intern(sim, make_data_packet(1, a.node_id, b.node_id, seq=0, payload_len=100)))
+        a.send(data(sim, 1, a.node_id, b.node_id, 0, 100))
         faulty = a.nic.link = make_lossy(a.nic.link, policy())  # the frame is on the wire
         sim.run_until_idle()
         assert faulty.offered_packets == 1
@@ -118,7 +117,7 @@ class TestHost:
         ep1, ep2 = Endpoint(sim), Endpoint(sim)
         b.register_flow(1, ep1)
         b.register_flow(2, ep2)
-        a.send(intern(sim, make_data_packet(2, a.node_id, b.node_id, seq=0, payload_len=10)))
+        a.send(data(sim, 2, a.node_id, b.node_id, 0, 10))
         sim.run_until_idle()
         assert not ep1.packets and len(ep2.packets) == 1
 
@@ -142,7 +141,7 @@ class TestHost:
     def test_undeliverable_counted(self):
         sim = Simulator()
         switch, a, b = wire(sim)
-        a.send(intern(sim, make_data_packet(7, a.node_id, b.node_id, seq=0, payload_len=10)))
+        a.send(data(sim, 7, a.node_id, b.node_id, 0, 10))
         sim.run_until_idle()
         assert b.undeliverable_packets == 1
 
@@ -150,7 +149,7 @@ class TestHost:
         sim = Simulator()
         host = Host(sim, "h")
         with pytest.raises(RuntimeError):
-            host.send(intern(sim, Packet(1, 0, 1, wire_bytes=64)))
+            host.send(PacketPool.of(sim).alloc_control(1, 0, 1, 64, sim.next_packet_id()))
 
     def test_node_ids_unique(self):
         sim = Simulator()

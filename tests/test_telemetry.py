@@ -9,7 +9,6 @@ from repro.telemetry import (
     EVENT_KINDS,
     Collector,
     EngineProfiler,
-    PeriodicCollector,
     Tracer,
     TraceRecord,
     records_from_jsonl,
@@ -79,13 +78,12 @@ def test_queue_hwm_is_one_record_per_risen_queue_per_run():
     and none for a queue that admitted nothing."""
     from repro.net.host import Host
     from repro.net.link import Link
-    from repro.net.packet import make_data_packet
     from repro.net.pool import PacketPool
     from repro.net.port import OutputPort
     from repro.net.queues import DropTailQueue
     from repro.sim.engine import Simulator
 
-    from .helpers import intern
+    from .helpers import data
 
     tracer = Tracer()
     sim = Simulator(seed=1, tracer=tracer)
@@ -96,7 +94,7 @@ def test_queue_hwm_is_one_record_per_risen_queue_per_run():
 
     def burst(frames):
         for seq in range(frames):
-            busy.send(intern(sim, make_data_packet(1, 0, sink.node_id, seq=seq, payload_len=1460)))
+            busy.send(data(sim, 1, 0, sink.node_id, seq, 1460))
 
     sim.at(1_000, burst, 3)
     sim.run(until=50_000)
@@ -197,41 +195,6 @@ def test_collector_csv_rendering():
             return [(1, 2.5), (3, 4.0)]
 
     assert Two().to_csv() == "a,b\n1,2.500\n3,4.000"
-
-
-# -- the periodic base -------------------------------------------------------------
-def test_periodic_collector_rejects_bad_interval():
-    from repro.sim.engine import Simulator
-
-    with pytest.raises(ValueError):
-        PeriodicCollector(Simulator(seed=1), 0)
-
-
-def test_periodic_collector_stop_after_exhaustion_is_safe():
-    """A post-exhaustion stop() must not cancel a recycled event."""
-    from repro.sim.engine import Simulator
-
-    sim = Simulator(seed=1)
-
-    class Counter(PeriodicCollector):
-        def __init__(self):
-            super().__init__(sim, 10)
-            self.samples = 0
-
-        def _sample(self):
-            self.samples += 1
-
-        def _exhausted(self):
-            return self.samples >= 3
-
-    collector = Counter()
-    collector.start()
-    sim.run(until=1_000)
-    assert collector.samples == 3
-    assert not collector.running
-    other = sim.schedule(10, lambda: None)
-    collector.stop()  # must be a no-op, not a cancellation of `other`
-    assert other.callback is not None
 
 
 # -- profiler ----------------------------------------------------------------------

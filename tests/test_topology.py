@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.net.packet import make_data_packet
 from repro.net.topology import TopologyParams, build_star, build_two_tier
 from repro.sim.engine import Simulator
 
-from .helpers import CaptureEndpoint as Endpoint, intern
+from .helpers import CaptureEndpoint as Endpoint, data
 
 
 class TestStructure:
@@ -52,7 +51,7 @@ class TestReachability:
         ep = Endpoint(sim)
         flow = 999_000 + src.node_id * 1000 + dst.node_id
         dst.register_flow(flow, ep)
-        src.send(intern(sim, make_data_packet(flow, src.node_id, dst.node_id, seq=0, payload_len=10)))
+        src.send(data(sim, flow, src.node_id, dst.node_id, 0, 10))
         sim.run_until_idle()
         dst.unregister_flow(flow)
         return len(ep.packets)
@@ -104,12 +103,7 @@ class TestDumbbell:
         ep = Endpoint(sim)
         tree.aggregator.register_flow(5, ep)
         tree.servers[2].send(
-            intern(
-                sim,
-                make_data_packet(
-                    5, tree.servers[2].node_id, tree.aggregator.node_id, seq=0, payload_len=10
-                ),
-            )
+            data(sim, 5, tree.servers[2].node_id, tree.aggregator.node_id, 0, 10)
         )
         sim.run_until_idle()
         assert len(ep.packets) == 1

@@ -1,4 +1,4 @@
-"""Unit tests for repro.sim.units (time/size/rate conversions)."""
+"""Unit tests for repro.sim.units (time/size constants, rate conversions)."""
 
 import pytest
 
@@ -10,22 +10,6 @@ class TestTimeConversions:
         assert units.SECOND == 1000 * units.MILLISECOND
         assert units.MILLISECOND == 1000 * units.MICROSECOND
         assert units.MICROSECOND == 1000 * units.NANOSECOND
-
-    def test_microseconds_round_trip(self):
-        assert units.microseconds(100) == 100_000
-        assert units.to_microseconds(units.microseconds(123.4)) == pytest.approx(123.4)
-
-    def test_milliseconds(self):
-        assert units.milliseconds(200) == 200_000_000
-        assert units.to_milliseconds(units.milliseconds(0.5)) == pytest.approx(0.5)
-
-    def test_seconds(self):
-        assert units.seconds(1.5) == 1_500_000_000
-        assert units.to_seconds(units.SECOND) == 1.0
-
-    def test_fractional_rounding(self):
-        assert units.microseconds(0.4999) == 500  # rounds to nearest ns
-        assert units.microseconds(1.5001) == 1500
 
 
 class TestTransmissionTime:

@@ -6,7 +6,6 @@ from repro.core.dctcp_plus import DctcpPlusSender
 from repro.exec.scenario import ScenarioSpec, run_scenario
 from repro.net.host import Host
 from repro.net.link import Link
-from repro.net.packet import make_data_packet
 from repro.net.shared_buffer import SharedBufferSwitch
 from repro.net.topology import build_star
 from repro.sim.engine import Simulator
@@ -17,7 +16,7 @@ from repro.tcp.sender import TcpSender
 from repro.validate import InvariantChecker, InvariantViolation
 from repro.workloads.ids import next_flow_id
 
-from .helpers import intern
+from .helpers import data
 
 MSS = 1460
 
@@ -181,7 +180,7 @@ class TestSharedPoolUnderValidation:
         pa = switch.add_port(Link(a))
         switch.add_route(a.node_id, pa)
         for i in range(20):
-            pa.send(intern(sim, make_data_packet(1, b.node_id, a.node_id, seq=i * MSS, payload_len=MSS)))
+            pa.send(data(sim, 1, b.node_id, a.node_id, i * MSS, MSS))
         assert switch.pool_occupancy_bytes > 0
         sim.run_until_idle()
         assert switch.pool_occupancy_bytes == 0
