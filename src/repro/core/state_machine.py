@@ -143,10 +143,5 @@ class SlowTimeStateMachine:
         if self.on_update is not None:
             self.on_update(self, "decay")
 
-    # -- views -------------------------------------------------------------------
-    @property
-    def pacing_active(self) -> bool:
-        return self.state is not DctcpPlusState.NORMAL and self.slow_time_ns > 0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SlowTimeStateMachine({self.state}, slow_time={self.slow_time_ns}ns)"

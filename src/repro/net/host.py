@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Protocol
 
+from ..sim import _native
 from ..sim.engine import Simulator
 from .link import Link
 from .node import Node
@@ -84,6 +85,7 @@ class Host(Node):
         return self.nic.send(h)
 
     def receive(self, h: int) -> None:
+        # Keep in sync with _evcore.c's hop_receive.
         try:
             on_packet = self._dispatch[self._flow_col[h]]
         except KeyError:
@@ -92,3 +94,7 @@ class Host(Node):
             self._pool_free(h)
             return
         on_packet(h)
+
+
+# The C core runs this body itself when its gates hold.
+_native.register_hop("receive", Host.receive)

@@ -23,10 +23,11 @@ stamps it on packets arriving past the incast threshold, the receiver
 echoes it on ACKs, and incast-aware senders back off on the echo.  It is
 always clear unless a scenario armed the detector.
 
-Packet ids come from the owning Simulator (``Simulator.next_packet_id``),
-not a process-global counter: a module-level ``count()`` would make ids
-depend on everything that ran earlier in the process, breaking
-run-to-run and serial-vs-worker-pool reproducibility.
+Packet ids are numbered by the pool: the n-th allocation of a simulator's
+pool gets id n (``allocated_total``) unless its caller passes one, never a
+number from a process-global counter, which would make ids depend on
+everything that ran earlier in the process, breaking run-to-run and
+serial-vs-worker-pool reproducibility.
 
 Handle lifecycle
 ----------------
@@ -64,7 +65,7 @@ The pool is simulator-owned (``sim.pool``), created lazily by
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 #: Wire size of a full-MSS data frame: 1460 B payload + 40 B TCP/IP headers.
 DEFAULT_MSS = 1460
@@ -270,7 +271,7 @@ class PacketPool:
         payload_len: int,
         ect: bool,
         is_retransmit: bool,
-        packet_id: int,
+        packet_id: Optional[int] = None,
     ) -> int:
         """Allocate a data segment (payload + 40 B header on the wire)."""
         h = self._head
@@ -285,10 +286,10 @@ class PacketPool:
         self.payload_len[h] = payload_len
         self.ack_seq[h] = 0
         self.wire_bytes[h] = payload_len + HEADER_BYTES
-        self.packet_id[h] = packet_id
         self.flags[h] = (F_ECT if ect else 0) | (F_RETX if is_retransmit else 0)
         self.live[h] = 1
-        self.allocated_total += 1
+        self.allocated_total = n = self.allocated_total + 1
+        self.packet_id[h] = n if packet_id is None else packet_id
         return h
 
     def alloc_ack(
@@ -299,7 +300,7 @@ class PacketPool:
         ack_seq: int,
         ece: bool,
         inc: bool,
-        packet_id: int,
+        packet_id: Optional[int] = None,
     ) -> int:
         """Allocate a pure cumulative ACK (64 B on the wire)."""
         h = self._head
@@ -314,14 +315,14 @@ class PacketPool:
         self.payload_len[h] = 0
         self.ack_seq[h] = ack_seq
         self.wire_bytes[h] = ACK_BYTES
-        self.packet_id[h] = packet_id
         self.flags[h] = F_ACK | (F_ECE if ece else 0) | (F_INC if inc else 0)
         self.live[h] = 1
-        self.allocated_total += 1
+        self.allocated_total = n = self.allocated_total + 1
+        self.packet_id[h] = n if packet_id is None else packet_id
         return h
 
     def alloc_control(
-        self, flow_id: int, src: int, dst: int, wire_bytes: int, packet_id: int
+        self, flow_id: int, src: int, dst: int, wire_bytes: int, packet_id: Optional[int] = None
     ) -> int:
         """Allocate a bare control frame (incast request packets)."""
         h = self._head
@@ -336,10 +337,10 @@ class PacketPool:
         self.payload_len[h] = 0
         self.ack_seq[h] = 0
         self.wire_bytes[h] = wire_bytes
-        self.packet_id[h] = packet_id
         self.flags[h] = 0
         self.live[h] = 1
-        self.allocated_total += 1
+        self.allocated_total = n = self.allocated_total + 1
+        self.packet_id[h] = n if packet_id is None else packet_id
         return h
 
     # -- release ----------------------------------------------------------------

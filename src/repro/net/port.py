@@ -27,10 +27,14 @@ arrival), so no ``Switch.receive`` frame runs per hop.  Routes are only
 installed while a topology is built, so looking one up a propagation
 delay early finds the same entry.  An unroutable destination pushes
 ``Switch.receive``, which counts and frees the frame at arrival.
+
+The native event core runs ``_finish_tx`` and a routed ``send`` itself
+when their gates hold (DESIGN.md §8.2): this module is its reference.
 """
 
 from __future__ import annotations
 
+from ..sim import _native
 from ..sim.engine import Simulator
 from .link import Link
 from .pool import F_CE, F_ECT, F_INC, NIL
@@ -176,9 +180,9 @@ class OutputPort:
             if not self._busy:
                 self._start_next()
             return True
-        # Inlined DropTailQueue.enqueue (keep in sync with queues.py):
-        # ECN/INC marking against the occupancy the arriving packet sees,
-        # then drop-tail admission.
+        # Inlined DropTailQueue.enqueue (keep in sync with queues.py, and this
+        # branch with _evcore.c's hop_send): ECN/INC marking against the
+        # occupancy the arriving packet sees, then drop-tail admission.
         flags_col = q._flags
         occupancy = q.occupancy_bytes
         wire_bytes = self._wire[h]
@@ -268,10 +272,10 @@ class OutputPort:
         self._push_light(self.sim.now + delay, self._finish, h)
 
     def _finish_tx(self, h: int) -> None:
-        # Fused fast path (plain Link only): port + link bookkeeping, the
-        # propagation hop straight onto the destination's receive (or, into
-        # a Switch, onto the route's callback), then the next frame's
-        # serialization — one callback per wire departure.
+        # Fused fast path (plain Link only; keep in sync with _evcore.c's
+        # hop_finish_tx): port + link bookkeeping, the propagation hop onto
+        # the destination's receive (or, into a Switch, onto the route's
+        # callback), then the next frame's serialization.
         if self._prop_delay is None:
             # The link was spliced (e.g. to a FaultyLink) while this frame
             # was on the wire; deliver it through the new link's propagate,
@@ -326,3 +330,8 @@ class OutputPort:
         self.tx_bytes += self._wire[h]
         self._propagate(self.sim, h)
         self._start_next()
+
+
+# The C core runs these two bodies itself when their gates hold.
+_native.register_hop("finish_tx", OutputPort._finish_tx)
+_native.register_hop("send", OutputPort.send)

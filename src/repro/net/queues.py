@@ -188,7 +188,3 @@ class DropTailQueue:
         self.dequeued_packets += 1
         self.dequeued_bytes += wire_bytes
         return h
-
-    @property
-    def is_empty(self) -> bool:
-        return self._head < 0

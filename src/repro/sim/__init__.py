@@ -2,7 +2,7 @@
 
 from .engine import SimulationError, Simulator
 from .events import Event, EventQueue
-from .rng import RngRegistry, make_rng, uniform_time
+from .rng import RngRegistry, uniform_time
 from . import units
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "RngRegistry",
-    "make_rng",
     "uniform_time",
     "units",
 ]

@@ -13,6 +13,10 @@
  *    light heap and the Python EventQueue heap (regular, cancellable
  *    Events) and invokes callbacks until a stop condition holds.
  *
+ * 3. The plain packet hop: a serialization finish, a routed switch arrival
+ *    or a host delivery runs here as a copy of the Python method it would
+ *    call (see "The plain packet hop" below, gates and fallbacks included).
+ *
  * Ordering is *provably* identical to the pure path: both heaps draw
  * sequence numbers from one shared counter (owned here in native mode),
  * every key (time, seq) is unique, and dispatch always takes the global
@@ -381,8 +385,12 @@ obj_heap_replace(PyObject *heap, PyObject *newentry)
 static void
 bump_processed(PyObject *sim, long long n)
 {
+#if PY_VERSION_HEX >= 0x030C0000
+    PyObject *exc = PyErr_GetRaisedException();
+#else
     PyObject *type, *value, *tb;
     PyErr_Fetch(&type, &value, &tb);
+#endif
     PyObject *cur = PyObject_GetAttr(sim, str_processed);
     if (cur != NULL) {
         long long total = PyLong_AsLongLong(cur);
@@ -396,7 +404,429 @@ bump_processed(PyObject *sim, long long n)
         }
     }
     PyErr_Clear();
+#if PY_VERSION_HEX >= 0x030C0000
+    PyErr_SetRaisedException(exc);
+#else
     PyErr_Restore(type, value, tb);
+#endif
+}
+
+/* ------------------------------------------------------------------ */
+/* The plain packet hop.
+ *
+ * Three light callbacks carry every plain packet hop: a port's
+ * serialization finish (OutputPort._finish_tx), a routed switch arrival
+ * (OutputPort.send) and a host delivery (Host.receive).  net/port.py and
+ * net/host.py register those functions at import (set_hop).  When a
+ * popped light entry is one of them, bound to an object whose gates hold,
+ * the loop runs the method's body here instead of calling it: the same
+ * __slots__ and pool columns read and written, the same pushes in the same
+ * order, the same calls back into Python (on_mark, on_drop, _pool_free,
+ * _ser_delay on a memo miss, the endpoint's on_packet).  Each branch cites
+ * the method it mirrors; the two copies are kept in sync by hand.
+ *
+ * Every gate is read before anything is written.  A branch returns 0, and
+ * the loop calls the callback as before, when the object is not of the
+ * layout resolved for its role, the port is not plain (_plain_queue,
+ * _prop_delay), the port runs on another simulator or core, a field is not
+ * an exact int within int64, a handle is off its column, or the frame is
+ * unroutable or undeliverable.  on_mark and on_drop are observers: the
+ * queue is read before they are called.  Columns are indexed afresh on
+ * every access, because PacketPool._grow extends them in place. */
+
+enum { HOP_FINISH, HOP_SEND, HOP_RECEIVE, HOP_N };
+static PyObject *hop_fns[HOP_N];  /* registered functions (owned) or NULL */
+
+enum { P_SIM, P_LINK, P_QUEUE, P_BUSY, P_TX_P, P_TX_B, P_PLAIN, P_LINK_COL, P_WIRE,
+       P_DST_COL, P_SER_DELAY, P_SER_NS, P_PUSH, P_FINISH, P_PROP, P_DST_RECEIVE,
+       P_DST_SENDS, P_N };
+static const char *const port_names[P_N] = {
+    "sim", "_link", "queue", "_busy", "tx_packets", "tx_bytes", "_plain_queue",
+    "_link_col", "_wire", "_dst_col", "_ser_delay", "_ser_ns", "_push_light",
+    "_finish", "_prop_delay", "_dst_receive", "_dst_sends"};
+enum { Q_CAP, Q_ECN, Q_INC, Q_INC_MARKED, Q_FLAGS, Q_FREE, Q_HEAD, Q_TAIL, Q_OCC,
+       Q_ENQ_P, Q_ENQ_B, Q_DEQ_P, Q_DEQ_B, Q_DROP_P, Q_DROP_B, Q_MARKED, Q_ON_DROP,
+       Q_ON_MARK, Q_PEAK, Q_PEAK_NS, Q_N };
+static const char *const queue_names[Q_N] = {
+    "capacity_bytes", "ecn_threshold_bytes", "inc_threshold_bytes",
+    "inc_marked_packets", "_flags", "_pool_free", "_head", "_tail",
+    "occupancy_bytes", "enqueued_packets", "enqueued_bytes", "dequeued_packets",
+    "dequeued_bytes", "dropped_packets", "dropped_bytes", "marked_packets",
+    "on_drop", "on_mark", "peak_bytes", "peak_ns"};
+enum { L_DELIV_P, L_DELIV_B, L_N };
+static const char *const link_names[L_N] = {"delivered_packets", "delivered_bytes"};
+enum { H_FLOW_COL, H_DISPATCH, H_N };
+static const char *const host_names[H_N] = {"_flow_col", "_dispatch"};
+
+enum { F_ECT = 2, F_CE = 4, F_INC = 16 };  /* pool flag bits (net/pool.py) */
+
+/* Slot offsets for one role, resolved once per type: the last type seen
+ * in that role (owned) and whether every name is an object slot on it. */
+typedef struct {
+    PyTypeObject *tp;
+    int ok;
+    Py_ssize_t off[Q_N];  /* the longest role: Q_N > P_N > H_N, L_N */
+} Layout;
+
+static Layout port_l, queue_l, link_l, host_l;
+
+static int
+layout_of(Layout *l, PyObject *obj, const char *const *names, int n)
+{
+    PyTypeObject *tp = Py_TYPE(obj);
+    if (l->tp != tp) {
+        Py_INCREF(tp);
+        Py_XSETREF(l->tp, tp);
+        l->ok = 1;
+        for (int i = 0; i < n && l->ok; i++) {
+            PyObject *name = PyUnicode_InternFromString(names[i]);
+            l->off[i] = name == NULL ? -1 : slot_offset(tp, name);
+            l->ok = l->off[i] >= 0;
+            Py_XDECREF(name);
+        }
+        PyErr_Clear();
+    }
+    return l->ok;
+}
+
+#define PF(obj, i) SLOT(obj, port_l.off[i])
+#define QF(obj, i) SLOT(obj, queue_l.off[i])
+
+/* *out = v when v is an exact int within int64; 0 (no exception) else. */
+static inline int
+as_i64(PyObject *v, long long *out)
+{
+    int overflow;
+    if (v == NULL || !PyLong_CheckExact(v))
+        return 0;
+    *out = PyLong_AsLongLongAndOverflow(v, &overflow);
+    return !overflow;
+}
+
+/* col[i] (borrowed) when col is an exact list holding i; NULL else. */
+static inline PyObject *
+col_item(PyObject *col, long long i)
+{
+    if (col == NULL || !PyList_CheckExact(col) || i < 0 || i >= PyList_GET_SIZE(col))
+        return NULL;
+    return PyList_GET_ITEM(col, i);
+}
+
+static int
+col_set(PyObject *col, long long i, PyObject *v)
+{
+    if (col_item(col, i) == NULL) {
+        PyErr_SetString(PyExc_IndexError, "pool column changed under a native hop");
+        return -1;
+    }
+    Py_INCREF(v);
+    return PyList_SetItem(col, i, v);
+}
+
+static int
+flag_set(PyObject *col, long long i, int v)
+{
+    if (col == NULL || !PyByteArray_CheckExact(col) || i >= PyByteArray_GET_SIZE(col)) {
+        PyErr_SetString(PyExc_IndexError, "pool flags changed under a native hop");
+        return -1;
+    }
+    PyByteArray_AS_STRING(col)[i] = (char)v;
+    return 0;
+}
+
+static int
+set_i64(PyObject *obj, Py_ssize_t off, long long v)
+{
+    PyObject *o = PyLong_FromLongLong(v);
+    if (o == NULL)
+        return -1;
+    Py_XSETREF(SLOT(obj, off), o);
+    return 0;
+}
+
+/* An object slot a branch reads after calling back into Python was
+ * emptied by that call. */
+static int
+hop_slot_error(void)
+{
+    if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_AttributeError, "a native hop's slot was emptied");
+    return -1;
+}
+
+/* Push a light entry whose callback is a borrowed slot value. */
+static int
+hop_push(EventCore *core, long long t, PyObject *cb, PyObject *arg)
+{
+    return cb == NULL ? hop_slot_error() : core_push_entry(core, t, core->seq++, cb, arg);
+}
+
+/* fn(arg), result dropped; fn is a borrowed slot value. */
+static int
+call1(PyObject *fn, PyObject *arg)
+{
+    if (fn == NULL)
+        return hop_slot_error();
+    Py_INCREF(fn);
+    PyObject *res = PyObject_CallOneArg(fn, arg);
+    Py_DECREF(fn);
+    Py_XDECREF(res);
+    return res == NULL ? -1 : 0;
+}
+
+/* try: self._ser_ns[wire] except KeyError: self._ser_delay(wire) */
+static int
+ser_delay(PyObject *port, PyObject *wire, long long *out)
+{
+    PyObject *memo = PF(port, P_SER_NS), *fn = PF(port, P_SER_DELAY);
+    PyObject *d = memo && PyDict_CheckExact(memo) ? PyDict_GetItemWithError(memo, wire) : NULL;
+    if (d != NULL) {
+        Py_INCREF(d);
+    } else {
+        if (PyErr_Occurred() || fn == NULL)
+            return hop_slot_error();
+        Py_INCREF(fn);
+        Py_INCREF(wire);
+        d = PyObject_CallOneArg(fn, wire);
+        Py_DECREF(wire);
+        Py_DECREF(fn);
+        if (d == NULL)
+            return -1;
+    }
+    *out = PyLong_AsLongLong(d);
+    Py_DECREF(d);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* Gates both port branches share: the port and its queue have the
+ * resolved layouts, the port runs on this simulator's core (its sim, its
+ * push), its queue is inlined (_plain_queue), and the clock and the
+ * frame's wire size are int64s. */
+static int
+port_gates(EventCore *core, PyObject *sim, Py_ssize_t now_off, PyObject *port,
+           long long h, PyObject **q, long long *now, PyObject **wobj, long long *wire)
+{
+    if (now_off < 0 || !layout_of(&port_l, port, port_names, P_N))
+        return 0;
+    PyObject *push = PF(port, P_PUSH);
+    *q = PF(port, P_QUEUE);
+    *wobj = col_item(PF(port, P_WIRE), h);
+    return PF(port, P_SIM) == sim && push != NULL && PyCFunction_Check(push) &&
+           PyCFunction_GET_SELF(push) == (PyObject *)core && PF(port, P_PLAIN) == Py_True &&
+           *q != NULL && layout_of(&queue_l, *q, queue_names, Q_N) &&
+           as_i64(SLOT(sim, now_off), now) &&
+           as_i64(*wobj, wire);
+}
+
+/* OutputPort._finish_tx (net/port.py) */
+static int
+hop_finish_tx(EventCore *core, PyObject *sim, Py_ssize_t now_off, PyObject *port,
+              PyObject *harg, long long h)
+{
+    PyObject *q, *wobj, *nwobj = NULL, *after = NULL, *route;
+    long long now, wire, prop, tx_p, tx_b, dl_p, dl_b, nxt, nwire = 0, unused;
+    long long occ = 0, deq_p = 0, deq_b = 0, delay;
+    if (!port_gates(core, sim, now_off, port, h, &q, &now, &wobj, &wire))
+        return 0;
+    PyObject *link = PF(port, P_LINK);
+    PyObject *sends = PF(port, P_DST_SENDS);
+    PyObject *arrive = PF(port, P_DST_RECEIVE);
+    if (!as_i64(PF(port, P_PROP), &prop) || !as_i64(PF(port, P_TX_P), &tx_p) ||
+        !as_i64(PF(port, P_TX_B), &tx_b) || link == NULL || arrive == NULL ||
+        !layout_of(&link_l, link, link_names, L_N) ||
+        !as_i64(SLOT(link, link_l.off[L_DELIV_P]), &dl_p) ||
+        !as_i64(SLOT(link, link_l.off[L_DELIV_B]), &dl_b) || sends == NULL ||
+        !as_i64(QF(q, Q_HEAD), &nxt))
+        return 0;
+    if (sends != Py_None) {
+        /* routed at departure */
+        PyObject *dst = col_item(PF(port, P_DST_COL), h);
+        if (!PyDict_CheckExact(sends) || dst == NULL || !PyLong_CheckExact(dst))
+            return 0;
+        if ((route = PyDict_GetItemWithError(sends, dst)) != NULL)
+            arrive = route;
+        else if (PyErr_Occurred()) {
+            PyErr_Clear();  /* the Python call raises it again */
+            return 0;
+        }
+    }
+    if (nxt >= 0 &&  /* the inlined DropTailQueue.dequeue reads */
+        (!as_i64(after = col_item(PF(port, P_LINK_COL), nxt), &unused) ||
+         (nwobj = col_item(PF(port, P_WIRE), nxt)) == NULL || !as_i64(nwobj, &nwire) ||
+         !as_i64(QF(q, Q_OCC), &occ) || !as_i64(QF(q, Q_DEQ_P), &deq_p) ||
+         !as_i64(QF(q, Q_DEQ_B), &deq_b)))
+        return 0;
+    /* -- every gate holds: the method's body from here */
+    if (set_i64(port, port_l.off[P_TX_P], tx_p + 1) < 0 ||
+        set_i64(port, port_l.off[P_TX_B], tx_b + wire) < 0 ||
+        set_i64(link, link_l.off[L_DELIV_P], dl_p + 1) < 0 ||
+        set_i64(link, link_l.off[L_DELIV_B], dl_b + wire) < 0 ||
+        hop_push(core, now + prop, arrive, harg) < 0)
+        return -1;
+    if (nxt < 0) {
+        field_set(port, port_l.off[P_BUSY], NULL, Py_False);
+        return 1;
+    }
+    PyObject *nobj = QF(q, Q_HEAD);
+    Py_INCREF(nobj);  /* the handle outlives its _head slot */
+    Py_INCREF(nwobj);
+    field_set(q, queue_l.off[Q_HEAD], NULL, after);
+    int rc = -1;
+    if (set_i64(q, queue_l.off[Q_OCC], occ - nwire) >= 0 &&
+        set_i64(q, queue_l.off[Q_DEQ_P], deq_p + 1) >= 0 &&
+        set_i64(q, queue_l.off[Q_DEQ_B], deq_b + nwire) >= 0 &&
+        ser_delay(port, nwobj, &delay) >= 0 &&
+        hop_push(core, now + delay, PF(port, P_FINISH), nobj) >= 0)
+        rc = 1;
+    Py_DECREF(nwobj);
+    Py_DECREF(nobj);
+    return rc;
+}
+
+/* OutputPort.send (net/port.py), its inlined DropTailQueue.enqueue branch,
+ * as a routed switch arrival (the loop drops the return value).  An idle
+ * port with a backlog, which send would restart through _start_next,
+ * takes the Python call. */
+static int
+hop_send(EventCore *core, PyObject *sim, Py_ssize_t now_off, PyObject *port,
+         PyObject *harg, long long h)
+{
+    PyObject *q, *wobj;
+    long long now, wire, occ, cap, ecn_t = 0, inc_t = 0, marked, inc_marked, head, tail = -1;
+    long long enq_p, enq_b, deq_p, deq_b, drop_p, drop_b, peak, delay;
+    if (!port_gates(core, sim, now_off, port, h, &q, &now, &wobj, &wire))
+        return 0;
+    PyObject *busy = PF(port, P_BUSY);
+    PyObject *flags_col = QF(q, Q_FLAGS);
+    PyObject *ecn = QF(q, Q_ECN), *inc = QF(q, Q_INC);
+    PyObject *link_col = PF(port, P_LINK_COL);
+    if ((busy != Py_True && busy != Py_False) || flags_col == NULL ||
+        !PyByteArray_CheckExact(flags_col) || h >= PyByteArray_GET_SIZE(flags_col) ||
+        ecn == NULL || (ecn != Py_None && !as_i64(ecn, &ecn_t)) ||
+        inc == NULL || (inc != Py_None && !as_i64(inc, &inc_t)) ||
+        !as_i64(QF(q, Q_OCC), &occ) || !as_i64(QF(q, Q_CAP), &cap) ||
+        !as_i64(QF(q, Q_MARKED), &marked) || !as_i64(QF(q, Q_INC_MARKED), &inc_marked) ||
+        !as_i64(QF(q, Q_ENQ_P), &enq_p) || !as_i64(QF(q, Q_ENQ_B), &enq_b) ||
+        !as_i64(QF(q, Q_DEQ_P), &deq_p) || !as_i64(QF(q, Q_DEQ_B), &deq_b) ||
+        !as_i64(QF(q, Q_DROP_P), &drop_p) || !as_i64(QF(q, Q_DROP_B), &drop_b) ||
+        !as_i64(QF(q, Q_PEAK), &peak) || !as_i64(QF(q, Q_HEAD), &head) ||
+        col_item(link_col, h) == NULL ||
+        (head >= 0 && (busy == Py_False || !as_i64(QF(q, Q_TAIL), &tail) ||
+                       col_item(link_col, tail) == NULL)))
+        return 0;
+    /* -- every gate holds: the method's body from here */
+    Py_INCREF(q);  /* held across the observers, as the method's local */
+    Py_INCREF(wobj);
+    int rc = -1;
+    int flags = (unsigned char)PyByteArray_AS_STRING(flags_col)[h];
+    if (ecn != Py_None && (flags & F_ECT) && occ > ecn_t && !(flags & F_CE)) {
+        flags |= F_CE;
+        if (flag_set(QF(q, Q_FLAGS), h, flags) < 0 ||
+            set_i64(q, queue_l.off[Q_MARKED], marked + 1) < 0 ||
+            (QF(q, Q_ON_MARK) != Py_None && call1(QF(q, Q_ON_MARK), harg) < 0))
+            goto done;
+    }
+    if (inc != Py_None && occ > inc_t && !(flags & F_INC)) {
+        if (flag_set(QF(q, Q_FLAGS), h, flags | F_INC) < 0 ||
+            set_i64(q, queue_l.off[Q_INC_MARKED], inc_marked + 1) < 0)
+            goto done;
+    }
+    if (occ + wire > cap) {
+        if (set_i64(q, queue_l.off[Q_DROP_P], drop_p + 1) >= 0 &&
+            set_i64(q, queue_l.off[Q_DROP_B], drop_b + wire) >= 0 &&
+            (QF(q, Q_ON_DROP) == Py_None || call1(QF(q, Q_ON_DROP), harg) >= 0) &&
+            call1(QF(q, Q_FREE), harg) >= 0)
+            rc = 1;
+        goto done;
+    }
+    if (head < 0 && busy == Py_False) {
+        /* cut-through at an idle port */
+        if (set_i64(q, queue_l.off[Q_ENQ_P], enq_p + 1) < 0 ||
+            set_i64(q, queue_l.off[Q_ENQ_B], enq_b + wire) < 0 ||
+            set_i64(q, queue_l.off[Q_DEQ_P], deq_p + 1) < 0 ||
+            set_i64(q, queue_l.off[Q_DEQ_B], deq_b + wire) < 0 ||
+            (wire > peak && (set_i64(q, queue_l.off[Q_PEAK], wire) < 0 ||
+                             set_i64(q, queue_l.off[Q_PEAK_NS], now) < 0)))
+            goto done;
+        field_set(port, port_l.off[P_BUSY], NULL, Py_True);
+        if (ser_delay(port, wobj, &delay) >= 0 &&
+            hop_push(core, now + delay, PF(port, P_FINISH), harg) >= 0)
+            rc = 1;
+        goto done;
+    }
+    /* behind a busy port: link h at the tail of the backlog chain */
+    if (col_set(PF(port, P_LINK_COL), h, long_minus_one) < 0)
+        goto done;
+    if (head < 0)
+        field_set(q, queue_l.off[Q_HEAD], NULL, harg);
+    else if (col_set(PF(port, P_LINK_COL), tail, harg) < 0)
+        goto done;
+    field_set(q, queue_l.off[Q_TAIL], NULL, harg);
+    if (set_i64(q, queue_l.off[Q_OCC], occ + wire) < 0 ||
+        set_i64(q, queue_l.off[Q_ENQ_P], enq_p + 1) < 0 ||
+        set_i64(q, queue_l.off[Q_ENQ_B], enq_b + wire) < 0 ||
+        (occ + wire > peak && (set_i64(q, queue_l.off[Q_PEAK], occ + wire) < 0 ||
+                               set_i64(q, queue_l.off[Q_PEAK_NS], now) < 0)))
+        goto done;
+    rc = 1;
+done:
+    Py_DECREF(wobj);
+    Py_DECREF(q);
+    return rc;
+}
+
+/* Host.receive (net/host.py): a claimed frame goes straight to its
+ * endpoint's on_packet; an unclaimed one takes the Python call, which
+ * counts and frees it. */
+static int
+hop_receive(PyObject *host, PyObject *harg, long long h)
+{
+    if (!layout_of(&host_l, host, host_names, H_N))
+        return 0;
+    PyObject *dispatch = SLOT(host, host_l.off[H_DISPATCH]);
+    PyObject *fid = col_item(SLOT(host, host_l.off[H_FLOW_COL]), h);
+    if (dispatch == NULL || !PyDict_CheckExact(dispatch) || fid == NULL || !PyLong_CheckExact(fid))
+        return 0;
+    PyObject *on_packet = PyDict_GetItemWithError(dispatch, fid);
+    if (on_packet == NULL) {
+        PyErr_Clear();  /* a miss, or an error the Python call raises again */
+        return 0;
+    }
+    return call1(on_packet, harg) < 0 ? -1 : 1;
+}
+
+/* 1: the entry was a plain hop and ran here; 0: call its callback; -1: error. */
+static int
+hop_run(EventCore *core, PyObject *sim, Py_ssize_t now_off, PyObject *cb, PyObject *arg)
+{
+    long long h;
+    if (!PyMethod_Check(cb) || !as_i64(arg, &h) || h < 0)
+        return 0;
+    PyObject *fn = PyMethod_GET_FUNCTION(cb);
+    PyObject *obj = PyMethod_GET_SELF(cb);
+    if (fn == hop_fns[HOP_FINISH])
+        return hop_finish_tx(core, sim, now_off, obj, arg, h);
+    if (fn == hop_fns[HOP_SEND])
+        return hop_send(core, sim, now_off, obj, arg, h);
+    if (fn == hop_fns[HOP_RECEIVE])
+        return hop_receive(obj, arg, h);
+    return 0;
+}
+
+/* set_hop(finish_tx, send, receive): the functions the loop runs itself
+ * (see above); None leaves a role to the Python call. */
+static PyObject *
+evcore_set_hop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != HOP_N) {
+        PyErr_SetString(PyExc_TypeError, "set_hop expects (finish_tx, send, receive)");
+        return NULL;
+    }
+    for (int i = 0; i < HOP_N; i++) {
+        Py_XINCREF(args[i] == Py_None ? NULL : args[i]);
+        Py_XSETREF(hop_fns[i], args[i] == Py_None ? NULL : args[i]);
+    }
+    Py_RETURN_NONE;
 }
 
 /* run(sim, queue, until, limit, stop_when, noop, freelist_max, evtype)
@@ -588,12 +1018,16 @@ EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
         if (take_light) {
             LEntry e;
             core_pop_entry(self, &e);
-            PyObject *res = PyObject_CallOneArg(e.cb, e.arg);
+            int hop = hop_run(self, sim, off.now, e.cb, e.arg);
+            if (hop == 0) {
+                PyObject *res = PyObject_CallOneArg(e.cb, e.arg);
+                Py_XDECREF(res);
+                hop = res == NULL ? -1 : 1;
+            }
             Py_DECREF(e.cb);
             Py_DECREF(e.arg);
-            if (res == NULL)
+            if (hop < 0)
                 goto error;
-            Py_DECREF(res);
         } else {
             PyObject *entry = obj_heap_pop(heap);
             if (entry == NULL)
@@ -724,11 +1158,18 @@ static PyTypeObject EventCoreType = {
     .tp_as_sequence = &EventCore_as_sequence,
 };
 
+static PyMethodDef evcore_functions[] = {
+    {"set_hop", (PyCFunction)(void (*)(void))evcore_set_hop, METH_FASTCALL,
+     "set_hop(finish_tx, send, receive): the methods the loop runs itself."},
+    {NULL, NULL, 0, NULL},
+};
+
 static struct PyModuleDef evcore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_evcore",
     .m_doc = "Native event core for repro.sim (see repro/sim/_native.py).",
     .m_size = -1,
+    .m_methods = evcore_functions,
 };
 
 PyMODINIT_FUNC

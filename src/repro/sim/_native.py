@@ -1,8 +1,9 @@
 """Build/load shim for the optional ``_evcore`` C extension.
 
 The native event core (see ``_evcore.c``) is a pure accelerator: it owns
-the light-event heap and the fused dispatch loop, with event ordering
-bit-for-bit identical to the pure-Python engine.  Because this repo ships
+the light-event heap, the fused dispatch loop and a copy of the plain
+packet hop (the methods registered with :func:`register_hop`), with event
+ordering bit-for-bit identical to the pure-Python engine.  Because this repo ships
 as source, the extension is compiled **on demand** with the host C
 toolchain the first time a :class:`~repro.sim.engine.Simulator` wants it,
 and cached under ``_build/`` keyed by a hash of the C source (so editing
@@ -33,6 +34,25 @@ _factory = None  # the EventCore type once loaded
 _build_attempted = False
 _status = "not attempted"
 
+#: The Python methods the core's dispatch loop runs itself when their gates
+#: hold (``_evcore.c``, "The plain packet hop"), by role, in ``set_hop``
+#: order.  net/port.py and net/host.py register theirs at import.
+_hop = {"finish_tx": None, "send": None, "receive": None}
+_module = None  # the loaded _evcore module
+
+
+def register_hop(role: str, function) -> None:
+    """Hand the core ``function``, whose body it copies (keep the two in sync).
+
+    Never builds or loads the core: a core loaded later receives every
+    function registered by then.
+    """
+    if role not in _hop:
+        raise ValueError(f"unknown hop role {role!r}")
+    _hop[role] = function
+    if _module is not None:
+        _module.set_hop(*_hop.values())
+
 
 def _enabled() -> bool:
     return os.environ.get(NATIVE_ENV, "").strip().lower() not in ("0", "false", "off", "no")
@@ -59,6 +79,7 @@ def _build_dir() -> Path:
 
 
 def _compile_and_load():
+    global _module
     source = Path(__file__).with_name("_evcore.c")
     code = source.read_bytes()
     tag = hashlib.sha256(code).hexdigest()[:16]
@@ -78,6 +99,8 @@ def _compile_and_load():
     spec = importlib.util.spec_from_file_location("repro.sim._evcore", out)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    _module = module
+    module.set_hop(*_hop.values())
     return module.EventCore
 
 

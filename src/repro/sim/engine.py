@@ -110,7 +110,6 @@ class Simulator:
         "_running",
         "events_processed",
         "_sequence",
-        "_packet_seq",
         "_core",
         "push_light",
         "_stop",
@@ -130,7 +129,6 @@ class Simulator:
         self._running = False
         self.events_processed: int = 0
         self._sequence = 0
-        self._packet_seq = 0
         # Struct-of-arrays stores, attached lazily by their owning layers
         # (PacketPool.of / FlowLedger.of) so the engine stays import-free.
         self.pool = None
@@ -197,18 +195,6 @@ class Simulator:
         """
         self._sequence += 1
         return self._sequence
-
-    def next_packet_id(self) -> int:
-        """Per-simulation packet id (separate from :meth:`next_sequence` so
-        packet churn cannot perturb RNG stream naming).
-
-        Owning ids here — not in a process-global counter — makes packet
-        ids reproducible: two identical simulations emit identical id
-        streams no matter what ran before them in the process, which keeps
-        any id-derived artifact stable across serial and worker-pool runs.
-        """
-        self._packet_seq += 1
-        return self._packet_seq
 
     # -- scheduling -----------------------------------------------------------
     def schedule(self, delay: int, callback: Callable[..., None], *args) -> Event:

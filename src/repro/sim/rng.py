@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Optional
 
 
 class RngRegistry:
@@ -37,9 +36,6 @@ class RngRegistry:
         mixed = (self.master_seed * 0x9E3779B1 + zlib.crc32(name.encode())) & 0xFFFFFFFFFFFFFFFF
         return random.Random(mixed)
 
-    def spawn(self, salt: int) -> "RngRegistry":
-        """Derive a sub-registry (e.g. one per experiment repetition)."""
-        return RngRegistry((self.master_seed * 0x100000001B3 + salt) & 0xFFFFFFFFFFFFFFFF)
 
 
 def uniform_time(rng: random.Random, upper_ns: int) -> int:
@@ -51,8 +47,3 @@ def uniform_time(rng: random.Random, upper_ns: int) -> int:
     if upper_ns <= 0:
         raise ValueError(f"upper bound must be positive, got {upper_ns}")
     return rng.randrange(upper_ns) + 1
-
-
-def make_rng(seed: Optional[int]) -> random.Random:
-    """Convenience constructor used by examples and tests."""
-    return random.Random(seed)

@@ -145,11 +145,6 @@ def register(cc: CongestionControl, *, replace: bool = False) -> CongestionContr
     return cc
 
 
-def unregister(name: str) -> None:
-    """Remove a strategy (tests cleaning up after themselves)."""
-    _REGISTRY.pop(name, None)
-
-
 def get_cc(name: str) -> CongestionControl:
     """Look up a strategy by name.
 

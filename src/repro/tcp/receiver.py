@@ -220,7 +220,6 @@ class TcpReceiver:
             # The onset signal rides the next ACK out, whatever kind it is
             # (immediate, delayed, duplicate), then is consumed.
             self._inc_echo = False
-        sim = self.sim
         h = self._pool.alloc_ack(
             self.flow_id,
             self.host.node_id,
@@ -228,7 +227,6 @@ class TcpReceiver:
             self._fl.rcv_nxt[self._slot] if ack_seq is None else ack_seq,
             ece,
             inc,
-            sim.next_packet_id(),
         )
         self._host_send(h)
 

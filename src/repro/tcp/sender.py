@@ -305,7 +305,6 @@ class TcpSender:
             length,
             cfg.ecn_enabled,
             is_retransmit,
-            sim.next_packet_id(),
         )
         if is_retransmit:
             # Karn: retransmitted segments are never RTT-sampled.

@@ -201,7 +201,6 @@ class HttpWorkload(ClosedLoopWorkload):
             self.tree.aggregator.node_id,
             client.server.node_id,
             cfg.request_bytes,
-            sim.next_packet_id(),
         )
         self.tree.aggregator.send(request)
         client.deadline_event = sim.schedule(

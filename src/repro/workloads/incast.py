@@ -217,7 +217,6 @@ class IncastWorkload(ClosedLoopWorkload):
                 aggregator_id,
                 server.node_id,
                 cfg.request_bytes,
-                sim.next_packet_id(),
             )
             if spacing > 0:
                 push_light(now + i * spacing, send, request)

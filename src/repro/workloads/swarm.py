@@ -184,7 +184,6 @@ class SwarmWorkload(ClosedLoopWorkload):
             fetcher.host.node_id,
             src.host.node_id,
             cfg.request_bytes,
-            sim.next_packet_id(),
         )
         fetcher.host.send(request)
         fetcher.deadline_event = sim.schedule(

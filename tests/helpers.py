@@ -27,11 +27,11 @@ def data(
 ) -> int:
     """Allocate a data segment in ``sim``'s pool and return its handle.
 
-    The id comes from ``sim``, as a sender's would; ``ce`` is OR-ed into the
+    The pool numbers it, as it numbers a sender's; ``ce`` is OR-ed into the
     flags afterwards, as a marking switch does.
     """
     pool = PacketPool.of(sim)
-    h = pool.alloc_data(flow, src, dst, seq, length, ect, retx, sim.next_packet_id())
+    h = pool.alloc_data(flow, src, dst, seq, length, ect, retx)
     if ce:
         pool.flags[h] |= F_CE
     return h
@@ -48,7 +48,7 @@ def ack(
     inc: bool = False,
 ) -> int:
     """Allocate a pure cumulative ACK in ``sim``'s pool and return its handle."""
-    return PacketPool.of(sim).alloc_ack(flow, src, dst, ack_seq, ece, inc, sim.next_packet_id())
+    return PacketPool.of(sim).alloc_ack(flow, src, dst, ack_seq, ece, inc)
 
 
 class Snap:

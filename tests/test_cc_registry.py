@@ -11,8 +11,8 @@ from repro.tcp.cc import (
     cc_names,
     get_cc,
     register,
-    unregister,
 )
+from repro.tcp import cc as cc_module
 from repro.tcp.dctcp import DctcpSender
 from repro.tcp.sender import TcpSender
 from repro.workloads.ids import next_flow_id
@@ -24,6 +24,15 @@ BUILTINS = (
     "tcp", "dctcp", "dctcp+", "dctcp+norand", "tcp+", "d2tcp", "d2tcp+",
     "pulser", "tbtcp",
 )
+
+
+@pytest.fixture
+def restore_registry():
+    """Put the registry back as it was, whatever the test registered."""
+    saved = dict(cc_module._REGISTRY)
+    yield
+    cc_module._REGISTRY.clear()
+    cc_module._REGISTRY.update(saved)
 
 
 class TestRegistry:
@@ -47,20 +56,13 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register(CongestionControl(name="dctcp", label="X", factory=lambda *a: None))
 
-    def test_replace_and_unregister(self):
+    def test_replace_and_add(self, restore_registry):
         original = get_cc("dctcp")
-        try:
-            substitute = CongestionControl(
-                name="dctcp", label="DCTCP*", factory=original.factory
-            )
-            register(substitute, replace=True)
-            assert get_cc("dctcp") is substitute
-        finally:
-            register(original, replace=True)
-        register(CongestionControl(name="tmp-cc", label="T", factory=original.factory))
-        unregister("tmp-cc")
-        assert "tmp-cc" not in cc_names()
-        unregister("tmp-cc")  # idempotent
+        substitute = CongestionControl(name="dctcp", label="DCTCP*", factory=original.factory)
+        register(substitute, replace=True)
+        assert get_cc("dctcp") is substitute
+        added = register(CongestionControl(name="tmp-cc", label="T", factory=original.factory))
+        assert get_cc("tmp-cc") is added and cc_names()[-1] == "tmp-cc"
 
     def test_metadata_matches_paper_matrix(self):
         assert not get_cc("tcp").ecn
@@ -98,21 +100,16 @@ class TestBuild:
 
 
 class TestCustomStrategyEndToEnd:
-    def test_registered_strategy_runs_through_spec_and_scenario(self):
+    def test_registered_strategy_runs_through_spec_and_scenario(self, restore_registry):
         def factory(sim, host, dst, fid, tcp_config, plus_config, on_complete, deadline):
             return DctcpSender(sim, host, dst, fid, config=tcp_config, on_complete=on_complete)
 
         register(CongestionControl(name="test-cc", label="TestCC", factory=factory))
-        try:
-            assert spec_for("test-cc").label == "TestCC"
-            spec = ScenarioSpec.create(
-                protocol="dctcp", cc="test-cc", n_flows=2, rounds=1, seed=1
-            )
-            assert spec.cc_name == "test-cc"
-            result = run_scenario(spec)
-            assert result.goodput_mbps > 0
-        finally:
-            unregister("test-cc")
+        assert spec_for("test-cc").label == "TestCC"
+        spec = ScenarioSpec.create(protocol="dctcp", cc="test-cc", n_flows=2, rounds=1, seed=1)
+        assert spec.cc_name == "test-cc"
+        result = run_scenario(spec)
+        assert result.goodput_mbps > 0
 
     def test_cc_dimension_changes_cache_key(self):
         base = ScenarioSpec.create(protocol="dctcp", n_flows=2, rounds=1, seed=1)

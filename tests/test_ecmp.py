@@ -64,7 +64,7 @@ def _two_path_switch(sim):
 def _inject(sim, switch, dst, flow_id, n_packets=1):
     pool = PacketPool.of(sim)
     for _ in range(n_packets):
-        h = pool.alloc_control(flow_id, 0, dst.node_id, 100, sim.next_packet_id())
+        h = pool.alloc_control(flow_id, 0, dst.node_id, 100)
         switch.receive(h)
 
 
@@ -169,9 +169,7 @@ class TestSameSeedSamePaths:
             for dst in net.hosts:
                 if dst is src:
                     continue
-                h = pool.alloc_control(
-                    flow, src.node_id, dst.node_id, 200, sim.next_packet_id()
-                )
+                h = pool.alloc_control(flow, src.node_id, dst.node_id, 200)
                 src.send(h)
         sim.run_until_idle()
         return _queue_census(net)

@@ -273,11 +273,11 @@ def test_round_results_match_the_parent(n_flows, native, monkeypatch):
 
 
 #: Calls each extra flow adds to one `_begin_round`: `expect`, `alloc_control`
-#: (its freelist is the pool's `link` column: no list call), `next_packet_id`
-#: and the request's `push_light`, which is one C call in native mode and a
-#: Python frame plus `heappush` in pure (keyed by `sim.native`: a checker forces
-#: the pure loop whatever the switch says).
-BEGIN_ROUND_CALLS_PER_FLOW = {True: 4, False: 5}
+#: (its freelist is the pool's `link` column: no list call; it numbers the
+#: packet itself) and the request's `push_light`, which is one C call in native
+#: mode and a Python frame plus `heappush` in pure (keyed by `sim.native`: a
+#: checker forces the pure loop whatever the switch says).
+BEGIN_ROUND_CALLS_PER_FLOW = {True: 3, False: 4}
 
 
 def extra_begin_round_calls(protocol, **incast_overrides):

@@ -173,7 +173,7 @@ class TestIdlePortCutThrough:
         port = make_port(sim, sink)
         q = port.queue
         assert port.send(data(sim, 1, 0, sink.node_id, 0, 1460))
-        assert spy.ops == 0 and q.is_empty
+        assert spy.ops == 0 and len(q) == 0
         assert q.occupancy_bytes == 0
         assert q.enqueued_packets == q.dequeued_packets == 1
         assert q.enqueued_bytes == q.dequeued_bytes == 1500

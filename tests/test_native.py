@@ -247,3 +247,213 @@ class TestDigestEquivalence:
         monkeypatch.setenv(_native.NATIVE_ENV, "0")
         pure = run_scenario(spec)
         assert result_digest(native) == result_digest(pure)
+
+
+# -- the plain hop the core runs itself ---------------------------------------------------
+def _ports(net):
+    """Every egress port of a built network, hosts' NICs first, then each
+    switch's ports in discovery order."""
+    ports = [host.nic for host in net.all_hosts]
+    switches, frontier = [], [port.link.dst for port in ports]
+    while frontier:
+        node = frontier.pop(0)
+        if hasattr(node, "ports") and not any(node is s for s in switches):
+            switches.append(node)
+            frontier.extend(port.link.dst for port in node.ports)
+    return ports + [port for switch in switches for port in switch.ports], switches
+
+
+_QUEUE_FIELDS = (
+    "occupancy_bytes", "enqueued_packets", "enqueued_bytes", "dequeued_packets",
+    "dequeued_bytes", "dropped_packets", "dropped_bytes", "marked_packets",
+    "inc_marked_packets", "peak_bytes", "peak_ns", "_head", "_tail",
+)
+
+
+def _counters(sim, net) -> dict:
+    """Every port, queue and link counter and peak of ``net``, the hosts'
+    undeliverable and the switches' unroutable counts, the pool's totals
+    and the simulator's clock and event count."""
+    ports, switches = _ports(net)
+    return dict(
+        ports=[
+            (
+                port.name, port.tx_packets, port.tx_bytes, port._busy,
+                port.link.delivered_packets, port.link.delivered_bytes,
+                *(getattr(port.queue, f) for f in _QUEUE_FIELDS),
+            )
+            for port in ports
+        ],
+        hosts=[host.undeliverable_packets for host in net.all_hosts],
+        switches=[switch.unroutable_drops for switch in switches],
+        pool=(sim.pool.allocated_total, sim.pool.freed_total, sim.pool.capacity),
+        clock=(sim.now, sim.events_processed),
+    )
+
+
+def _point(spec, native: bool, monkeypatch, during=None):
+    """``run_scenario(spec)`` in one dispatch mode: ``(result or the exception
+    it raised, counters)``.  ``during(sim, net)`` runs once the network is
+    built, before the workload."""
+    from repro.exec import scenario
+    from repro.net.topology import topology_builder
+
+    seen = {}
+
+    def builder(name):
+        build = topology_builder(name)
+
+        def built(sim, params):
+            net = seen["net"] = build(sim, params)
+            seen["sim"] = sim
+            if during is not None:
+                during(sim, net)
+            return net
+
+        return built
+
+    monkeypatch.setattr(scenario, "topology_builder", builder)
+    monkeypatch.setenv(_native.NATIVE_ENV, "1" if native else "0")
+    try:
+        outcome = scenario.run_scenario(spec)
+    except Exception as exc:  # noqa: BLE001 - compared across the modes
+        outcome = exc
+    sim = seen["sim"]
+    assert sim.native == native
+    return outcome, _counters(sim, seen["net"])
+
+
+def _both(spec, monkeypatch, during=None):
+    """Run ``spec`` natively and in pure Python; the counters must agree,
+    and so must the results (by digest) or the exceptions.  Returns the
+    native run's ``(outcome, counters)``."""
+    from repro.validate.fuzz import result_digest
+
+    native, native_counters = _point(spec, True, monkeypatch, during)
+    pure, pure_counters = _point(spec, False, monkeypatch, during)
+    assert native_counters == pure_counters
+    if isinstance(pure, Exception):
+        assert type(native) is type(pure) and str(native) == str(pure)
+    else:
+        assert result_digest(native) == result_digest(pure)
+    return native, native_counters
+
+
+def _queue_totals(counters, field):
+    return sum(row[6 + _QUEUE_FIELDS.index(field)] for row in counters["ports"])
+
+
+@requires_native
+class TestHopParity:
+    """Cases the C hop must hand to Python, or copy exactly, beyond the
+    engine parity above and the golden digests."""
+
+    def test_faulty_link_spliced_while_a_frame_is_on_the_wire(self, monkeypatch):
+        from repro.exec.scenario import ScenarioSpec
+        from repro.net.faults import drop_nth, make_lossy
+
+        spliced = []
+
+        def during(sim, net):
+            port = net.bottleneck_port
+
+            def splice():
+                spliced.append(port._busy)
+                port.link = make_lossy(port.link, drop_nth(2, 5, 9))
+
+            sim.schedule(150_000, splice)
+
+        _result, counters = _both(ScenarioSpec.create("dctcp", 16, rounds=2, seed=3), monkeypatch, during)
+        assert spliced == [True, True]  # the bottleneck was mid-frame in both modes
+
+    def test_shared_buffer_switches(self, monkeypatch):
+        from repro.exec.scenario import ScenarioSpec
+
+        spec = ScenarioSpec.create("dctcp", 24, rounds=2, seed=3, topo=dict(shared_pool_bytes=96_000))
+        _result, counters = _both(spec, monkeypatch)
+        assert _queue_totals(counters, "dropped_packets") > 0
+
+    def test_traced_run_matches_the_golden_trace(self, monkeypatch):
+        from repro.exec.scenario import ScenarioSpec
+        from repro.telemetry import records_to_jsonl
+
+        from .test_trace_golden import GOLDEN_PATH, GOLDEN_SPEC
+
+        result, _counters = _both(ScenarioSpec.create(**GOLDEN_SPEC), monkeypatch)
+        with open(GOLDEN_PATH, "r", encoding="utf-8", newline="") as fh:
+            assert records_to_jsonl(result.trace_events) == fh.read()
+
+    def test_pulser_incast_marking(self, monkeypatch):
+        from repro.exec.scenario import ScenarioSpec
+
+        _result, counters = _both(ScenarioSpec.create("pulser", 32, rounds=2, seed=3), monkeypatch)
+        assert _queue_totals(counters, "inc_marked_packets") > 0
+
+    def test_drops_at_a_full_port(self, monkeypatch):
+        from repro.exec.scenario import ScenarioSpec
+
+        _result, counters = _both(ScenarioSpec.create("tcp", 48, rounds=2, seed=3), monkeypatch)
+        assert _queue_totals(counters, "dropped_packets") > 0
+
+    def test_pool_grows_while_frames_are_queued(self, monkeypatch):
+        from repro.exec.scenario import ScenarioSpec
+        from repro.net.pool import DEFAULT_CAPACITY, PacketPool
+
+        queued_at_growth = []
+        grow = PacketPool._grow
+
+        def during(sim, net):
+            ports = _ports(net)[0]
+            src, dst = net.servers[0], net.aggregator
+
+            def counted_grow(pool):
+                queued_at_growth.append(sum(port.queue.occupancy_bytes for port in ports))
+                grow(pool)
+
+            def burst():
+                # Mid-incast, one server floods its NIC with frames nobody
+                # claims: the pool grows under them.
+                pool = PacketPool.of(sim)
+                for _ in range(DEFAULT_CAPACITY):
+                    src.send(pool.alloc_control(10**9, src.node_id, dst.node_id, 1500))
+
+            monkeypatch.setattr(PacketPool, "_grow", counted_grow)
+            sim.schedule(2_000_000, burst)
+
+        spec = ScenarioSpec.create("dctcp", 16, rounds=2, seed=3)
+        _result, counters = _both(spec, monkeypatch, during)
+        assert counters["pool"][2] > DEFAULT_CAPACITY
+        assert queued_at_growth and min(queued_at_growth) > 0
+        assert sum(counters["hosts"]) > 0  # the burst, less the bottleneck drops
+
+    def test_an_on_drop_hook_that_raises(self, monkeypatch):
+        from repro.exec.scenario import ScenarioSpec
+
+        def during(sim, net):
+            def boom(h):
+                raise RuntimeError(f"drop of handle {h}")
+
+            net.bottleneck_port.queue.on_drop = boom
+
+        outcome, counters = _both(ScenarioSpec.create("tcp", 48, rounds=2, seed=3), monkeypatch, during)
+        assert isinstance(outcome, RuntimeError)
+        assert _queue_totals(counters, "dropped_packets") == 1
+
+    def test_unroutable_and_undeliverable_frames(self):
+        from repro.net.pool import PacketPool
+        from repro.net.topology import build_two_tier
+
+        def run(native):
+            sim = Simulator(native=native)
+            tree = build_two_tier(sim)
+            pool = PacketPool.of(sim)
+            src, dst = tree.servers[0], tree.servers[-1]
+            src.send(pool.alloc_control(7, src.node_id, 10_000, 64))  # no route
+            src.send(pool.alloc_control(7, src.node_id, dst.node_id, 64))  # no flow 7
+            sim.run()
+            return _counters(sim, tree)
+
+        counters = run(True)
+        assert counters == run(False)
+        assert sum(counters["switches"]) == 1 and sum(counters["hosts"]) == 1
+        assert counters["pool"][:2] == (2, 2)

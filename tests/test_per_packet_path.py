@@ -176,7 +176,7 @@ def test_receiver_matches_the_reference_reassembler(script):
     sim, pool, receiver, acks, deliveries, completions = receiver_under_test(total)
     reference = ReferenceReassembler(total)
     for seq, end, ce, inc in arrivals:
-        h = pool.alloc_data(1, 99, 0, seq, end - seq, True, False, sim.next_packet_id())
+        h = pool.alloc_data(1, 99, 0, seq, end - seq, True, False)
         pool.flags[h] |= (F_CE if ce else 0) | (F_INC if inc else 0)
         receiver.on_packet(h)
         reference.segment(seq, end, ce, inc)
@@ -333,7 +333,6 @@ RELEASE = ["PacketPool.free"]
 #: endpoint a list's ``append`` as its port, so no network code is counted.
 TRANSMIT = [
     "TcpSender._transmit",
-    "Simulator.next_packet_id",
     "PacketPool.alloc_data",
     "list.append",
 ]
@@ -380,7 +379,7 @@ def test_one_clean_ack_releases_one_segment_in_pinned_calls(sender_cls, native, 
     pool = PacketPool.of(sim)
 
     def ack(seq):
-        return pool.alloc_ack(1, 0, 0, seq, False, False, sim.next_packet_id())
+        return pool.alloc_ack(1, 0, 0, seq, False, False)
 
     sender.on_packet(ack(MSS))
     sender.on_packet(ack(2 * MSS))
@@ -396,7 +395,6 @@ IN_ORDER_SEGMENT_CALLS = [
     *RELEASE,
     "TcpReceiver._ack_policy",
     "TcpReceiver._send_ack",
-    "Simulator.next_packet_id",
     "PacketPool.alloc_ack",
     "list.append",  # the NIC, as in TRANSMIT
 ]
@@ -409,6 +407,6 @@ def test_one_in_order_segment_costs_pinned_calls():
     sent = []
     receiver._host_send = sent.append
     for k in range(2):
-        h = pool.alloc_data(1, 99, 0, k * MSS, MSS, True, False, sim.next_packet_id())
+        h = pool.alloc_data(1, 99, 0, k * MSS, MSS, True, False)
         assert calls_of(receiver.on_packet, h) == IN_ORDER_SEGMENT_CALLS
     assert receiver.rcv_nxt == 2 * MSS and len(sent) == 2

@@ -19,7 +19,7 @@ def _fresh():
     pool = PacketPool()
 
     def pkt(payload=1460, ect=True, flow=1, ce=False):
-        h = pool.alloc_data(flow, 0, 1, 0, payload, ect, False, 0)
+        h = pool.alloc_data(flow, 0, 1, 0, payload, ect, False)
         if ce:
             pool.flags[h] |= F_CE
         return h
@@ -248,7 +248,7 @@ class TestBacklogChain:
                 if h is not None:
                     pool.free(h)
             else:
-                h = pool.alloc_data(1, 0, 1, 0, op, False, False, 0)
+                h = pool.alloc_data(1, 0, 1, 0, op, False, False)
                 wire = pool.wire_bytes[h]
                 admitted = port.send(h)
                 occupancy = sum(pool.wire_bytes[b] for b in backlog)
@@ -262,7 +262,7 @@ class TestBacklogChain:
                     assert admitted
                     backlog.append(h)
             assert list(q) == list(backlog)
-            assert len(q) == len(backlog) and q.is_empty == (not backlog)
+            assert len(q) == len(backlog)
             assert q.occupancy_bytes == sum(pool.wire_bytes[b] for b in backlog)
             if backlog:
                 assert q._tail == backlog[-1] and pool.link[q._tail] == NIL
@@ -280,7 +280,7 @@ class TestBacklogChain:
         assert q.dequeue() == first
         assert list(q) == [second, third]
         assert q.dequeue() == second and q.dequeue() == third
-        assert q.dequeue() is None and q.is_empty and list(q) == []
+        assert q.dequeue() is None and len(q) == 0 and list(q) == []
 
 
 class TestCorruptBacklogIsAViolation:
@@ -294,7 +294,7 @@ class TestCorruptBacklogIsAViolation:
         pool = PacketPool.of(sim)
         port = OutputPort(sim, Link(sink), DropTailQueue(100_000, None, pool=pool))
         for seq in range(4):  # the first cuts through, three queue behind it
-            port.send(pool.alloc_data(1, 0, 1, seq, 1460, False, False, 0))
+            port.send(pool.alloc_data(1, 0, 1, seq, 1460, False, False))
         sim.checker.sweep()  # the intact backlog passes
         return sim, pool, port.queue
 

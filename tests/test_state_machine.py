@@ -219,11 +219,11 @@ class TestInvariants:
             assert m.slow_time_ns > last
             last = m.slow_time_ns
 
-    def test_pacing_active_flag(self):
+    def test_congestion_event_starts_pacing(self):
         m = make()
-        assert not m.pacing_active
+        assert m.state is DctcpPlusState.NORMAL and m.slow_time_ns == 0
         m.on_congestion_event()
-        assert m.pacing_active
+        assert m.state is not DctcpPlusState.NORMAL and m.slow_time_ns > 0
 
 
 def _decay_view(m):
@@ -282,7 +282,6 @@ class TestAlgorithm1:
         for _, _, (state_after, s_after) in self._steps(m, script):
             if state_after is DctcpPlusState.NORMAL:
                 assert s_after == 0
-                assert not m.pacing_active
 
 
 def test_zero_decay_interval_changes_a_scenario():

@@ -149,7 +149,7 @@ class TestHost:
         sim = Simulator()
         host = Host(sim, "h")
         with pytest.raises(RuntimeError):
-            host.send(PacketPool.of(sim).alloc_control(1, 0, 1, 64, sim.next_packet_id()))
+            host.send(PacketPool.of(sim).alloc_control(1, 0, 1, 64))
 
     def test_node_ids_unique(self):
         sim = Simulator()
