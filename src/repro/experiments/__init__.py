@@ -1,23 +1,7 @@
-"""Per-figure experiment drivers (one module per paper table/figure)."""
+"""The paper's tables and figures (:mod:`.figures`), the registry that
+names them (:mod:`.registry`) and the ``experiments`` command
+(:mod:`.runner`)."""
 
-from .common import (
-    BENCH_N_VALUES,
-    ExperimentResult,
-    IncastPointResult,
-    make_spec,
-    point_specs,
-    run_incast_batch,
-    run_incast_point,
-    run_incast_sweep,
-)
+from .common import ExperimentResult, make_spec, run_incast_batch
 
-__all__ = [
-    "ExperimentResult",
-    "IncastPointResult",
-    "make_spec",
-    "point_specs",
-    "run_incast_batch",
-    "run_incast_point",
-    "run_incast_sweep",
-    "BENCH_N_VALUES",
-]
+__all__ = ["ExperimentResult", "make_spec", "run_incast_batch"]

@@ -27,11 +27,7 @@ from typing import Optional, Sequence
 from ..control import Action, ControlEnv
 from ..tcp.cc import get_cc
 from .common import ExperimentResult, run_incast_batch
-
-EXPERIMENT_ID = "control-demo"
-TITLE = "ControlEnv demo — autopilot / throttle agent / external policies"
-SUPPORTS_CC_KWARG = True
-SUPPORTS_SWEEP_KWARGS = False
+from .figures import experiment_result
 
 #: Demo point: mid-fan-in where marks are frequent but rounds stay fast.
 DEFAULT_N_FLOWS = 32
@@ -40,8 +36,6 @@ DEFAULT_SEED = 1
 
 #: External strategies scored alongside the env episodes (panel 3).
 DEFAULT_CCS = ("external:dctcp-plus-scripted", "external:deadline-greedy")
-
-QUICK_KWARGS = dict(n_flows=16, rounds=2)
 
 
 def throttle_agent(obs) -> Optional[Action]:
@@ -117,10 +111,9 @@ def run(
         "batch rows run through ScenarioSpec/executor — external:<policy> "
         "names flow through cache keys, sweeps and the fuzzer unchanged",
     ]
-    return ExperimentResult(
-        EXPERIMENT_ID,
-        TITLE,
+    return experiment_result(
+        "control-demo",
         ["episode", "N", "steps", "goodput (Mbps)", "FCT (ms)", "timeouts"],
         rows,
-        notes=notes,
+        notes,
     )

@@ -1,109 +1,103 @@
-"""Experiment registry: id -> driver module.
+"""Experiment registry: one table of every id ``python -m repro
+experiments`` runs.
 
-``python -m repro experiments <id>`` resolves through here, and so do the
-tests that assert each artifact's shape (``tests/test_experiments.py``),
+The CLI resolves ids, titles and scale presets through here, and so do
+the tests that assert each artifact's shape (``tests/test_experiments.py``),
 so a paper claim is regenerated and checked by the same code.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Mapping
 
-from . import (
-    ablations,
-    arena,
-    control_demo,
-    extensions,
-    fig01_goodput_collapse,
-    fig02_cwnd_distribution,
-    fig06_partial_dctcp_plus,
-    fig07_full_dctcp_plus,
-    fig08_rto_10ms,
-    fig09_queue_cdf,
-    fig11_12_background,
-    fig13_benchmark,
-    fig14_initial_rounds,
-    table1_timeout_taxonomy,
-    topo_matrix,
-)
+from . import control_demo, figures
 from .common import ExperimentResult
 
-_MODULES = {
-    "fig1": fig01_goodput_collapse,
-    "fig2": fig02_cwnd_distribution,
-    "table1": table1_timeout_taxonomy,
-    "fig6": fig06_partial_dctcp_plus,
-    "fig7": fig07_full_dctcp_plus,
-    "fig8": fig08_rto_10ms,
-    "fig9": fig09_queue_cdf,
-    "fig11": fig11_12_background,
-    "fig12": fig11_12_background,  # same driver reports both panels
-    "fig13": fig13_benchmark,
-    "fig14": fig14_initial_rounds,
-    "ablations": ablations,
-    "extensions": extensions,
-    "arena": arena,
-    "topo-matrix": topo_matrix,
-    "control-demo": control_demo,
+
+@dataclass(frozen=True)
+class Experiment:
+    """One registry entry: a figure function and how the CLI drives it."""
+
+    run: Callable[..., ExperimentResult]
+    title: str
+    #: Takes the generic ``n_values``/``rounds``/``seeds`` sweep kwargs.
+    sweep: bool = True
+    #: Takes a ``ccs`` strategy field (the repeatable ``--cc`` flag).
+    cc: bool = False
+    #: Kwargs under ``--quick``; a sweep figure without them gets a generic
+    #: rounds/seeds reduction.
+    quick: Mapping[str, object] = field(default_factory=dict)
+    #: Kwargs under ``--paper``, beyond a sweep figure's rounds/seeds scale-up.
+    paper: Mapping[str, object] = field(default_factory=dict)
+
+
+_FIG11 = Experiment(figures.fig11, "Incast goodput and FCT with 2 persistent background flows")
+
+#: Every experiment id, in paper order.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "fig1": Experiment(figures.fig1, "Goodput vs concurrent flows (DCTCP, TCP) — basic incast"),
+    "fig2": Experiment(figures.fig2, "cwnd-size frequency distribution (share of transmissions)"),
+    "table1": Experiment(
+        figures.table1, "Timeout taxonomy and the cwnd-floor 'incapable' state"
+    ),
+    "fig6": Experiment(figures.fig6, "Partial DCTCP+ (no desync) vs DCTCP — goodput vs N"),
+    "fig7": Experiment(figures.fig7, "Full DCTCP+ vs DCTCP vs TCP — goodput and FCT vs N"),
+    "fig8": Experiment(figures.fig8, "DCTCP+ (RTO 200 ms) vs DCTCP/TCP with RTO_min = 10 ms"),
+    "fig9": Experiment(figures.fig9, "CDF of bottleneck queue length (KB), 100 us samples"),
+    "fig11": _FIG11,
+    "fig12": _FIG11,  # the fig11 driver reports both panels
+    "fig13": Experiment(
+        figures.fig13,
+        "Benchmark traffic FCT statistics (ms), RTO_min = 10 ms",
+        sweep=False,
+        paper=dict(n_queries=7000, n_background=7000, max_flow_bytes=None),
+    ),
+    "fig14": Experiment(
+        figures.fig14, "Queue vs time: DCTCP+ convergence, N=50, 4 MB per flow", sweep=False
+    ),
+    "ablations": Experiment(
+        figures.ablations, "DCTCP+ design-choice ablations (paper §V.D, footnote 3)", sweep=False
+    ),
+    "extensions": Experiment(
+        figures.extensions,
+        "Extensions: TCP+, D2TCP+ under deadlines, shared switch buffers",
+        sweep=False,
+    ),
+    "arena": Experiment(
+        figures.arena,
+        "CC arena — goodput / p99 FCT / timeout taxonomy vs fan-in",
+        cc=True,
+        quick=dict(n_values=(2, 8, 32), rounds=2, seeds=(1,)),
+        paper=dict(n_values=(2, 4, 8, 16, 32, 64, 128, 256)),
+    ),
+    "topo-matrix": Experiment(
+        figures.topo_matrix,
+        "topology x workload matrix — DCTCP vs DCTCP+ beyond the testbed",
+        sweep=False,
+        quick=dict(n_flows=4, rounds=2, seeds=(1,)),
+        paper=dict(n_flows=32, rounds=10, seeds=(1, 2, 3)),
+    ),
+    "control-demo": Experiment(
+        control_demo.run,
+        "ControlEnv demo — autopilot / throttle agent / external policies",
+        sweep=False,
+        cc=True,
+        quick=dict(n_flows=16, rounds=2),
+    ),
 }
 
 
 def experiment_ids() -> list:
     """All registered experiment ids, in paper order."""
-    return list(_MODULES.keys())
+    return list(EXPERIMENTS)
 
 
 def get_runner(experiment_id: str) -> Callable[..., ExperimentResult]:
-    """The ``run`` callable for an experiment id."""
+    """The figure function for an experiment id."""
     try:
-        return _MODULES[experiment_id].run
+        return EXPERIMENTS[experiment_id].run
     except KeyError:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; choose from {experiment_ids()}"
         ) from None
-
-
-def describe(experiment_id: str) -> str:
-    module = _MODULES[experiment_id]
-    suffix = (
-        ""
-        if experiment_id == module.EXPERIMENT_ID
-        else f" (shares the {module.EXPERIMENT_ID} driver)"
-    )
-    return f"{experiment_id}: {module.TITLE}{suffix}"
-
-
-def supports_sweep_kwargs(experiment_id: str) -> bool:
-    """Whether the driver accepts the (n_values, rounds, seeds) sweep kwargs.
-
-    Drivers opt out by setting ``SUPPORTS_SWEEP_KWARGS = False`` (fig13's
-    benchmark mix and fig14's single time series have their own knobs);
-    the CLI uses this instead of hard-coding experiment ids.
-    """
-    module = _MODULES[experiment_id]
-    return getattr(module, "SUPPORTS_SWEEP_KWARGS", True)
-
-
-def supports_cc_kwarg(experiment_id: str) -> bool:
-    """Whether the driver takes a ``ccs`` strategy field (``--cc`` flags).
-
-    Drivers opt in with ``SUPPORTS_CC_KWARG = True`` (the arena's
-    competitor field, the control demo's policy set).
-    """
-    module = _MODULES[experiment_id]
-    return getattr(module, "SUPPORTS_CC_KWARG", False)
-
-
-def paper_scale_kwargs(experiment_id: str) -> dict:
-    """Extra kwargs the driver wants under ``--paper`` (beyond the generic
-    rounds/seeds scale-up), declared as ``PAPER_SCALE_KWARGS`` on the module."""
-    module = _MODULES[experiment_id]
-    return dict(getattr(module, "PAPER_SCALE_KWARGS", {}))
-
-
-def quick_scale_kwargs(experiment_id: str) -> dict:
-    """Kwargs for a smoke-scale run under ``--quick``, declared as
-    ``QUICK_KWARGS`` on the module (empty when the driver declares none —
-    the CLI then falls back to a generic rounds/seeds reduction)."""
-    module = _MODULES[experiment_id]
-    return dict(getattr(module, "QUICK_KWARGS", {}))

@@ -34,15 +34,7 @@ from typing import List, Optional
 
 from ..cli import add_common_arguments, apply_common_arguments
 from ..exec import ProgressEvent, make_executor, using_executor
-from .registry import (
-    describe,
-    experiment_ids,
-    get_runner,
-    paper_scale_kwargs,
-    quick_scale_kwargs,
-    supports_cc_kwarg,
-    supports_sweep_kwargs,
-)
+from .registry import EXPERIMENTS, get_runner
 
 
 def _parse_n_values(text: str) -> tuple:
@@ -103,18 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _kwargs_for(experiment: str, args: argparse.Namespace) -> dict:
+    entry = EXPERIMENTS[experiment]
     kwargs: dict = {}
     if args.cc:
-        if not supports_cc_kwarg(experiment):
+        if not entry.cc:
             raise SystemExit(
                 f"python -m repro experiments: {experiment!r} does not take --cc"
             )
         kwargs["ccs"] = tuple(args.cc)
-    if not supports_sweep_kwargs(experiment):
+    if not entry.sweep:
         if args.paper:
-            kwargs.update(paper_scale_kwargs(experiment))
+            kwargs.update(entry.paper)
         elif args.quick:
-            kwargs.update(quick_scale_kwargs(experiment))
+            kwargs.update(entry.quick)
         return kwargs
     if args.rounds is not None:
         kwargs["rounds"] = args.rounds
@@ -125,10 +118,10 @@ def _kwargs_for(experiment: str, args: argparse.Namespace) -> dict:
     if args.paper:
         kwargs.setdefault("rounds", 100)
         kwargs.setdefault("seeds", tuple(range(1, 11)))
-        for key, value in paper_scale_kwargs(experiment).items():
+        for key, value in entry.paper.items():
             kwargs.setdefault(key, value)
     if args.quick:
-        for key, value in quick_scale_kwargs(experiment).items():
+        for key, value in entry.quick.items():
             kwargs.setdefault(key, value)
         kwargs.setdefault("rounds", 2)
         kwargs.setdefault("seeds", (1,))
@@ -159,8 +152,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.paper and args.quick:
         parser.error("--paper and --quick are mutually exclusive")
     if args.list or not args.experiment:
-        for experiment_id in experiment_ids():
-            print(describe(experiment_id))
+        drivers: dict = {}
+        for experiment_id, entry in EXPERIMENTS.items():
+            first = drivers.setdefault(entry.run, experiment_id)
+            suffix = "" if first == experiment_id else f" (shares the {first} driver)"
+            print(f"{experiment_id}: {entry.title}{suffix}")
         return 0
     runner = get_runner(args.experiment)
     kwargs = _kwargs_for(args.experiment, args)

@@ -5,7 +5,7 @@ turn trace records and per-flow counters into the FLoss-TO / LAck-TO
 split and stack-state shares of Table I, the cwnd distribution of Fig. 2,
 the queue-occupancy CDF of Fig. 9 and the mean/percentile summaries of
 Fig. 13.  ``python -m repro trace`` prints them;
-:mod:`repro.experiments.table1_timeout_taxonomy` is a thin consumer of
+:func:`repro.experiments.figures.table1` is a thin consumer of
 :func:`stack_state_row`.
 
 numpy is imported inside the functions that use it, so importing the

@@ -1,8 +1,8 @@
 """Tests for the arena experiment (every CC head-to-head)."""
 
 from repro.exec import ParallelExecutor, SerialExecutor, using_executor
-from repro.experiments.arena import QUICK_KWARGS, run
-from repro.experiments.registry import experiment_ids, get_runner, quick_scale_kwargs
+from repro.experiments.figures import arena as run
+from repro.experiments.registry import EXPERIMENTS, experiment_ids, get_runner
 from repro.tcp.cc import cc_names
 
 TINY = dict(n_values=(2, 4), rounds=1, seeds=(1,))
@@ -12,7 +12,9 @@ class TestArena:
     def test_registered_and_quick_kwargs_exposed(self):
         assert "arena" in experiment_ids()
         assert get_runner("arena") is run
-        assert quick_scale_kwargs("arena") == QUICK_KWARGS
+        entry = EXPERIMENTS["arena"]
+        assert entry.cc and entry.sweep
+        assert entry.quick == dict(n_values=(2, 8, 32), rounds=2, seeds=(1,))
 
     def test_covers_every_registered_cc(self):
         result = run(**TINY)

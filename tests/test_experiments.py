@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.experiments.common import (
-    ExperimentResult,
-    make_spec,
-    run_incast_point,
-    run_incast_sweep,
-)
-from repro.experiments.registry import describe, experiment_ids, get_runner
+from repro.experiments import figures
+from repro.experiments.common import ExperimentResult, make_spec, run_incast_batch
+from repro.experiments.registry import EXPERIMENTS, experiment_ids, get_runner
 from repro.experiments.runner import build_parser, main
 
 
@@ -24,8 +20,9 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_runner("fig99")
 
-    def test_describe(self):
-        assert describe("fig1").startswith("fig1:")
+    def test_describe(self, capsys):
+        assert main(["--list"]) == 0
+        assert capsys.readouterr().out.startswith(f"fig1: {EXPERIMENTS['fig1'].title}\n")
 
     def test_runners_callable(self):
         for experiment_id in experiment_ids():
@@ -63,24 +60,37 @@ class TestMakeSpec:
 
 
 class TestRunIncastPoint:
+    """Incast points measured through ``run_incast_batch``, the one batch path."""
+
     def test_point_aggregates_seeds(self):
-        point = run_incast_point("dctcp", 4, rounds=2, seeds=(1, 2))
+        (point,) = run_incast_batch([dict(protocol="dctcp", n_flows=4, rounds=2, seeds=(1, 2))])
         assert point.rounds == 4  # 2 rounds x 2 seeds
         assert point.goodput_mbps > 0
         assert len(point.flow_stats) == 8  # 4 flows x 2 seeds
 
     def test_queue_sampling_collects(self):
-        point = run_incast_point("dctcp", 2, rounds=1, seeds=(1,), sample_queue=True)
+        (point,) = run_incast_batch(
+            [dict(protocol="dctcp", n_flows=2, rounds=1, sample_queue=True)]
+        )
         assert len(point.queue_samples_bytes) > 0
 
     def test_background_attaches(self):
-        point = run_incast_point("dctcp", 2, rounds=1, seeds=(1,), with_background=True)
+        (point,) = run_incast_batch(
+            [dict(protocol="dctcp", n_flows=2, rounds=1, with_background=True)]
+        )
         assert getattr(point, "bg_throughput_mbps", 0) > 0
 
     def test_sweep_shape(self):
-        sweep = run_incast_sweep(("dctcp", "tcp"), (2, 4), rounds=1, seeds=(1,))
-        assert set(sweep) == {"dctcp", "tcp"}
-        assert [p.n_flows for p in sweep["dctcp"]] == [2, 4]
+        requests = [
+            dict(protocol=protocol, n_flows=n, rounds=1, seeds=(1,))
+            for protocol in ("dctcp", "tcp")
+            for n in (2, 4)
+        ]
+        points = run_incast_batch(requests)
+        # One point per request, in request order.
+        assert [(p.protocol, p.n_flows) for p in points] == [
+            (r["protocol"], r["n_flows"]) for r in requests
+        ]
 
 
 class TestCli:
@@ -103,16 +113,12 @@ class TestDriversSmoke:
     """Each driver runs end-to-end at minimal scale and emits a table."""
 
     def test_fig1(self):
-        from repro.experiments.fig01_goodput_collapse import run
-
-        result = run(n_values=(2, 4), rounds=1, seeds=(1,))
+        result = figures.fig1(n_values=(2, 4), rounds=1, seeds=(1,))
         assert len(result.rows) == 2
         assert result.to_text()
 
     def test_fig2(self):
-        from repro.experiments.fig02_cwnd_distribution import run
-
-        result = run(n_values=(4,), rounds=1, seeds=(1,))
+        result = figures.fig2(n_values=(4,), rounds=1, seeds=(1,))
         assert result.headers[0] == "cwnd (MSS)"
         # frequencies within each column sum to ~1
         for col in range(1, len(result.headers)):
@@ -120,56 +126,40 @@ class TestDriversSmoke:
             assert total == pytest.approx(1.0, abs=0.02)
 
     def test_table1(self):
-        from repro.experiments.table1_timeout_taxonomy import run
-
-        result = run(n_values=(4,), rounds=1, seeds=(1,))
+        result = figures.table1(n_values=(4,), rounds=1, seeds=(1,))
         assert len(result.rows) == 1
         assert result.rows[0][0] == "N=4"
 
     def test_fig6(self):
-        from repro.experiments.fig06_partial_dctcp_plus import run
-
-        result = run(n_values=(4,), rounds=1, seeds=(1,))
+        result = figures.fig6(n_values=(4,), rounds=1, seeds=(1,))
         assert len(result.rows) == 1
 
     def test_fig7(self):
-        from repro.experiments.fig07_full_dctcp_plus import run
-
-        result = run(n_values=(4,), rounds=1, seeds=(1,))
+        result = figures.fig7(n_values=(4,), rounds=1, seeds=(1,))
         assert len(result.rows) == 1
         assert len(result.headers) == 7
 
     def test_fig8(self):
-        from repro.experiments.fig08_rto_10ms import run
-
-        result = run(n_values=(4,), rounds=1, seeds=(1,))
+        result = figures.fig8(n_values=(4,), rounds=1, seeds=(1,))
         assert len(result.rows) == 1
 
     def test_fig9(self):
-        from repro.experiments.fig09_queue_cdf import run
-
-        result = run(n_values=(4,), rounds=1, seeds=(1,))
+        result = figures.fig9(n_values=(4,), rounds=1, seeds=(1,))
         # CDF columns are monotone non-decreasing in the threshold
         for col in range(1, len(result.headers)):
             probs = [row[col] for row in result.rows]
             assert probs == sorted(probs)
 
     def test_fig11(self):
-        from repro.experiments.fig11_12_background import run
-
-        result = run(n_values=(4,), rounds=1, seeds=(1,))
+        result = figures.fig11(n_values=(4,), rounds=1, seeds=(1,))
         assert len(result.rows) == 1
 
     def test_fig13(self):
-        from repro.experiments.fig13_benchmark import run
-
-        result = run(n_queries=3, n_background=3, n_short=1, query_fanout=4)
+        result = figures.fig13(n_queries=3, n_background=3, n_short=1, query_fanout=4)
         assert any(row[0] == "query" for row in result.rows)
 
     def test_fig14(self):
-        from repro.experiments.fig14_initial_rounds import run
-
-        result = run(n_flows=4, bytes_per_flow=64 * 1024, rounds=1)
+        result = figures.fig14(n_flows=4, bytes_per_flow=64 * 1024, rounds=1)
         assert result.rows  # time series emitted
 
 

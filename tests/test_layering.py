@@ -38,21 +38,27 @@ def test_import_repro_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
-def _module_level_imports(path: Path):
-    """Absolute names imported by ``path``'s top level (``if``/``try`` included)."""
+def _imported(node, path: Path):
+    """Absolute module names an ``import`` node of ``path`` names, or ()."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if not node.level:
+        return [node.module]
     parts = ["repro", *path.relative_to(REPRO).with_suffix("").parts]
     package = parts[:-1]  # an __init__'s "module" part is __init__, so this is its package
+    base = package[: len(package) - node.level + 1]
+    return [".".join(base + ([node.module] if node.module else []))]
+
+
+def _module_level_imports(path: Path):
+    """Absolute names imported by ``path``'s top level (``if``/``try`` included)."""
     stack = list(ast.parse(path.read_text(), filename=str(path)).body)
     while stack:
         node = stack.pop()
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base = package[: len(package) - node.level + 1]
-                yield ".".join(base + ([node.module] if node.module else []))
-            else:
-                yield node.module
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from _imported(node, path)
         elif isinstance(node, (ast.If, ast.Try)):
             stack.extend(node.body + node.orelse + getattr(node, "finalbody", []))
             for handler in getattr(node, "handlers", []):
@@ -72,3 +78,29 @@ def test_lower_packages_import_only_each_other():
             if not ok:
                 bad.append(f"{path.relative_to(REPRO)} -> {name}")
     assert not bad, "module-level imports outside sim/net/tcp/core + stdlib: " + ", ".join(bad)
+
+
+def test_only_the_parked_surface_imports_control():
+    """``repro.control`` (ControlEnv, external policies) is parked: nothing on
+    the paper path may import it, at module level or inside a function.
+    Its readers are itself, the control-demo experiment, the package's
+    public surface, and ``tcp/cc.py``'s function-local resolution of
+    ``external:`` strategy names."""
+    allowed = {Path("experiments/control_demo.py"), Path("__init__.py")}
+    bad = []
+    for path in sorted(REPRO.rglob("*.py")):
+        rel = path.relative_to(REPRO)
+        if rel.parts[0] == "control" or rel in allowed:
+            continue
+        top_level = set(_module_level_imports(path))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = _imported(node, path)
+            if isinstance(node, ast.ImportFrom):  # ``from repro import control``
+                names += [f"{names[0]}.{alias.name}" for alias in node.names]
+            for name in names:
+                if name != "repro.control" and not name.startswith("repro.control."):
+                    continue
+                if rel == Path("tcp/cc.py") and name not in top_level:
+                    continue
+                bad.append(f"{rel} -> {name}")
+    assert not bad, "imports of the parked repro.control: " + ", ".join(bad)

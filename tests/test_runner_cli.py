@@ -49,9 +49,7 @@ class TestMainExecution:
         def tiny_run(**kwargs):
             return ExperimentResult("fig1", "stub", ["a"], [[1]], ["n"])
 
-        monkeypatch.setitem(registry._MODULES, "fig1", type(
-            "M", (), {"run": staticmethod(tiny_run), "EXPERIMENT_ID": "fig1", "TITLE": "stub"}
-        ))
+        monkeypatch.setitem(registry.EXPERIMENTS, "fig1", registry.Experiment(tiny_run, "stub"))
 
     def test_table_output(self, capsys, monkeypatch):
         self._patch_fig1(monkeypatch)
@@ -93,9 +91,7 @@ class TestMainExecution:
             seen["executor"] = get_executor()
             return ExperimentResult("fig1", "stub", ["a"], [[1]])
 
-        monkeypatch.setitem(registry._MODULES, "fig1", type(
-            "M", (), {"run": staticmethod(spy_run), "EXPERIMENT_ID": "fig1", "TITLE": "stub"}
-        ))
+        monkeypatch.setitem(registry.EXPERIMENTS, "fig1", registry.Experiment(spy_run, "stub"))
         cache_dir = tmp_path / "cache"
         assert main(["fig1", "--workers", "2", "--cache-dir", str(cache_dir)]) == 0
         executor = seen["executor"]

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.core.config import DctcpPlusConfig
 from repro.core.state_machine import SlowTimeStateMachine
@@ -161,6 +161,11 @@ class TestDecayPacing:
         st.integers(min_value=0, max_value=200 * US),
         st.lists(st.tuples(st.booleans(), st.integers(0, 300 * US)), max_size=120),
     )
+    # The limiter's exact boundary: the second clean ACK lands exactly one
+    # interval after the first decay (``now - last == interval``) and must
+    # decay.  1(b)'s decay factor (per 100 us vs every clean ACK) moves the
+    # interval, not this comparison.
+    @example(100 * US, [(True, 0), (False, 0), (False, 100 * US)])
     def test_clean_ack_decays_iff_interval_elapsed(self, interval, script):
         # The live unit (an SRTT, say) is larger than both the configured
         # unit and the interval: the cadence must still be the interval.
