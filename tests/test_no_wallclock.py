@@ -44,8 +44,10 @@ def _dotted(node):
     return list(reversed(parts))
 
 
-def _violations(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _violations(path, tree=None):
+    """Lint findings in ``tree`` (default: all of ``path``), located in ``path``."""
+    if tree is None:
+        tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -76,9 +78,46 @@ def all_source_files():
     return files
 
 
-@pytest.mark.parametrize("path", all_source_files(), ids=lambda p: str(p.relative_to(SRC)))
-def test_no_wallclock_or_unseeded_randomness(path):
-    violations = _violations(path)
+FIGURES = SRC / "experiments" / "figures.py"
+
+#: Each figure function of ``experiments/figures.py`` is also linted on its
+#: own, under the path of the module it had when every figure lived in a file
+#: of its own, so each figure keeps its own case id and a finding names the
+#: figure it sits in.
+FIGURE_MODULES = {
+    "experiments/fig01_goodput_collapse.py": "fig1",
+    "experiments/fig02_cwnd_distribution.py": "fig2",
+    "experiments/table1_timeout_taxonomy.py": "table1",
+    "experiments/fig06_partial_dctcp_plus.py": "fig6",
+    "experiments/fig07_full_dctcp_plus.py": "fig7",
+    "experiments/fig08_rto_10ms.py": "fig8",
+    "experiments/fig09_queue_cdf.py": "fig9",
+    "experiments/fig11_12_background.py": "fig11",
+    "experiments/fig13_benchmark.py": "fig13",
+    "experiments/fig14_initial_rounds.py": "fig14",
+    "experiments/ablations.py": "ablations",
+    "experiments/extensions.py": "extensions",
+    "experiments/arena.py": "arena",
+    "experiments/topo_matrix.py": "topo_matrix",
+}
+
+
+def lint_cases():
+    """(path, figure function or None for the whole file) with its case id."""
+    cases = [pytest.param(p, None, id=str(p.relative_to(SRC))) for p in all_source_files()]
+    cases += [pytest.param(FIGURES, fn, id=old) for old, fn in FIGURE_MODULES.items()]
+    return cases
+
+
+@pytest.mark.parametrize("path,figure", lint_cases())
+def test_no_wallclock_or_unseeded_randomness(path, figure):
+    tree = None
+    if figure is not None:
+        module = ast.parse(path.read_text(), filename=str(path))
+        defs = {n.name: n for n in module.body if isinstance(n, ast.FunctionDef)}
+        assert figure in defs, f"{path.name} has no figure function {figure}()"
+        tree = defs[figure]
+    violations = _violations(path, tree)
     assert not violations, "\n".join(violations)
 
 
