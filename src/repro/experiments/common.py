@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..exec import PointResult, ScenarioSpec, get_executor
 from ..telemetry.export import format_table
@@ -82,18 +82,27 @@ def run_incast_batch(requests: Sequence[Mapping]) -> List[PointResult]:
     of all requests are flattened into a single submission — the unit of
     parallelism — and each request's seeds are aggregated back into one
     :class:`PointResult` (goodput/FCT averaged; flow stats and queue
-    samples concatenated), returned in request order.
+    samples concatenated), returned in request order.  A point several
+    requests ask for (equal :meth:`~ScenarioSpec.cache_key`) is submitted
+    once and its result handed to each of them.
     """
     specs: List[ScenarioSpec] = []
-    slices: List[slice] = []
+    index: Dict[str, int] = {}
+    picks: List[List[int]] = []
     for request in requests:
         kwargs = dict(request)
         seeds = kwargs.pop("seeds", (1,))
-        start = len(specs)
-        specs.extend(ScenarioSpec.create(seed=seed, **kwargs) for seed in seeds)
-        slices.append(slice(start, len(specs)))
+        pick = []
+        for seed in seeds:
+            spec = ScenarioSpec.create(seed=seed, **kwargs)
+            key = spec.cache_key()
+            if key not in index:
+                index[key] = len(specs)
+                specs.append(spec)
+            pick.append(index[key])
+        picks.append(pick)
     results = get_executor().map(specs)
-    return [PointResult.aggregate(results[s]) for s in slices]
+    return [PointResult.aggregate([results[i] for i in pick]) for pick in picks]
 
 
 #: N values of the paper-scale sweeps.

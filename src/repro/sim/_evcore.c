@@ -17,6 +17,10 @@
  *    or a host delivery runs here as a copy of the Python method it would
  *    call (see "The plain packet hop" below, gates and fallbacks included).
  *
+ * 4. The observers: an attached invariant checker is swept and an attached
+ *    engine profiler is fed at the points the Python loop does (see "The
+ *    observers" below).
+ *
  * Ordering is *provably* identical to the pure path: both heaps draw
  * sequence numbers from one shared counter (owned here in native mode),
  * every key (time, seq) is unique, and dispatch always takes the global
@@ -35,6 +39,8 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
+#include <string.h>
+#include <time.h>
 
 /* ------------------------------------------------------------------ */
 /* Light-event heap: C struct entries, native int64 keys.              */
@@ -143,6 +149,8 @@ core_pop_entry(EventCore *self, LEntry *out)
 static PyObject *str_now, *str_stop, *str_heap, *str_free, *str_live;
 static PyObject *str_cancelled, *str_deadline, *str_time, *str_seq;
 static PyObject *str_dseq, *str_callback, *str_args, *str_processed;
+static PyObject *str_qualname, *str_name, *str_sweep, *str_sweep_every, *str_check_time;
+static PyObject *str_counts, *str_times, *str_batch_events, *str_batches;
 static PyObject *long_minus_one, *empty_tuple;
 
 /* ------------------------------------------------------------------ */
@@ -379,18 +387,52 @@ obj_heap_replace(PyObject *heap, PyObject *newentry)
     return obj_siftdown(heap, 0);
 }
 
+/* The raised exception, set aside while exit bookkeeping runs Python code. */
+typedef struct {
+#if PY_VERSION_HEX >= 0x030C0000
+    PyObject *exc;
+#else
+    PyObject *type, *value, *tb;
+#endif
+} SavedError;
+
+static void
+error_save(SavedError *e)
+{
+#if PY_VERSION_HEX >= 0x030C0000
+    e->exc = PyErr_GetRaisedException();
+#else
+    PyErr_Fetch(&e->type, &e->value, &e->tb);
+#endif
+}
+
+/* Put the saved exception back, if there was one (discarding any raised
+ * since); returns whether there was. */
+static int
+error_restore(SavedError *e)
+{
+#if PY_VERSION_HEX >= 0x030C0000
+    if (e->exc == NULL)
+        return 0;
+    PyErr_Clear();
+    PyErr_SetRaisedException(e->exc);
+#else
+    if (e->type == NULL)
+        return 0;
+    PyErr_Clear();
+    PyErr_Restore(e->type, e->value, e->tb);
+#endif
+    return 1;
+}
+
 /* sim.events_processed += n, preserving any pending exception (mirrors
  * the pure loop's `finally` accounting so partial progress is credited
  * even when a callback raises). */
 static void
 bump_processed(PyObject *sim, long long n)
 {
-#if PY_VERSION_HEX >= 0x030C0000
-    PyObject *exc = PyErr_GetRaisedException();
-#else
-    PyObject *type, *value, *tb;
-    PyErr_Fetch(&type, &value, &tb);
-#endif
+    SavedError saved;
+    error_save(&saved);
     PyObject *cur = PyObject_GetAttr(sim, str_processed);
     if (cur != NULL) {
         long long total = PyLong_AsLongLong(cur);
@@ -404,11 +446,7 @@ bump_processed(PyObject *sim, long long n)
         }
     }
     PyErr_Clear();
-#if PY_VERSION_HEX >= 0x030C0000
-    PyErr_SetRaisedException(exc);
-#else
-    PyErr_Restore(type, value, tb);
-#endif
+    error_restore(&saved);
 }
 
 /* ------------------------------------------------------------------ */
@@ -829,25 +867,384 @@ evcore_set_hop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
-/* run(sim, queue, until, limit, stop_when, noop, freelist_max, evtype)
+/* ------------------------------------------------------------------ */
+/* The observers.
+ *
+ * An invariant checker and an engine profiler attached to the Simulator
+ * are served here as Simulator.run()'s Python loop serves them, at the same
+ * event indices and in the same order against the stop conditions: after
+ * each dispatched event the profiler is credited, then the checker counts
+ * toward its next sweep, then _stop, stop_when and the limit are tested.
+ *
+ * Checker: sweep() runs after every checker.sweep_every events of one
+ * run() call.  Dispatch times are compared here, against the last one
+ * dispatched; the checker's check_dispatch_time is handed the first time
+ * of a call (so the law holds across calls), the last time before each
+ * sweep and at exit, and any time that went backwards, which it rejects.
+ *
+ * Profiler: each callback is timed with a monotonic clock and credited to
+ * its kind, __qualname__ else the type name, read off the function of a
+ * Python function or method; a hop the loop runs itself counts under its
+ * method.  A same-timestamp batch breaks where the Python loop breaks it:
+ * at a stop, at a new timestamp, and at a cancelled or deferred Event at
+ * the same timestamp.  Totals per kind are held here and flushed into the
+ * EngineProfiler when the call returns or raises; the batch in progress
+ * when a callback raises is dropped, as the Python loop drops it. */
+
+typedef struct {
+    long long count, ns, batch_events;
+} KindTotals;
+
+typedef struct {
+    /* checker (check == NULL: none attached) */
+    PyObject *check, *sweep;  /* bound check_dispatch_time, sweep (owned) */
+    long long sweep_every, since_sweep, last_time;
+    int have_last;            /* an event was dispatched in this call */
+    int handed;               /* the checker has seen last_time */
+    /* profiler (profiler == NULL: none attached) */
+    PyObject *profiler;       /* borrowed */
+    PyObject *kinds;          /* kind -> index into totals (owned) */
+    KindTotals *totals;
+    Py_ssize_t ntotals, totals_cap;
+    Py_ssize_t *batch;        /* the current batch's kind indices */
+    Py_ssize_t nbatch, batch_cap;
+    long long batches;
+} Observers;
+
+static inline long long
+mono_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (long long)ts.tv_sec * 1000000000LL + ts.tv_nsec;
+}
+
+static int
+observers_open(Observers *o, PyObject *checker, PyObject *profiler)
+{
+    memset(o, 0, sizeof(*o));
+    if (checker != Py_None) {
+        PyObject *every = PyObject_GetAttr(checker, str_sweep_every);
+        if (every == NULL)
+            return -1;
+        o->sweep_every = PyLong_AsLongLong(every);
+        Py_DECREF(every);
+        if (o->sweep_every == -1 && PyErr_Occurred())
+            return -1;
+        o->check = PyObject_GetAttr(checker, str_check_time);
+        o->sweep = PyObject_GetAttr(checker, str_sweep);
+        if (o->check == NULL || o->sweep == NULL)
+            return -1;
+    }
+    if (profiler != Py_None) {
+        o->profiler = profiler;
+        if ((o->kinds = PyDict_New()) == NULL)
+            return -1;
+    }
+    return 0;
+}
+
+/* checker.check_dispatch_time(t) */
+static int
+checker_check(Observers *o, long long t)
+{
+    PyObject *arg = PyLong_FromLongLong(t);
+    if (arg == NULL)
+        return -1;
+    PyObject *res = PyObject_CallOneArg(o->check, arg);
+    Py_DECREF(arg);
+    Py_XDECREF(res);
+    return res == NULL ? -1 : 0;
+}
+
+/* Show the checker the last dispatched time, unless it has seen it. */
+static int
+checker_handoff(Observers *o)
+{
+    if (!o->have_last || o->handed)
+        return 0;
+    o->handed = 1;
+    return checker_check(o, o->last_time);
+}
+
+/* The monotone-dispatch law, before the events at t fire. */
+static int
+checker_dispatch_time(Observers *o, long long t)
+{
+    if (o->have_last && t >= o->last_time) {
+        if (t != o->last_time) {
+            o->last_time = t;
+            o->handed = 0;
+        }
+        return 0;
+    }
+    if (checker_handoff(o) < 0 || checker_check(o, t) < 0)
+        return -1;
+    o->have_last = 1;
+    o->handed = 1;
+    o->last_time = t;
+    return 0;
+}
+
+/* After each dispatched event: sweep every sweep_every of them. */
+static int
+checker_count(Observers *o)
+{
+    if (++o->since_sweep < o->sweep_every)
+        return 0;
+    o->since_sweep = 0;
+    if (checker_handoff(o) < 0)
+        return -1;
+    PyObject *res = PyObject_CallNoArgs(o->sweep);
+    Py_XDECREF(res);
+    return res == NULL ? -1 : 0;
+}
+
+/* The Python loop's `getattr(cb, "__qualname__", None) or
+ * type(cb).__name__` (new reference). */
+static PyObject *
+kind_of(PyObject *cb)
+{
+    PyObject *fn = PyMethod_Check(cb) ? PyMethod_GET_FUNCTION(cb) : cb;
+    if (PyFunction_Check(fn)) {
+        PyObject *name = ((PyFunctionObject *)fn)->func_qualname;
+        if (PyUnicode_Check(name) && PyUnicode_GET_LENGTH(name) > 0) {
+            Py_INCREF(name);
+            return name;
+        }
+    }
+    PyObject *name = PyObject_GetAttr(cb, str_qualname);
+    if (name == NULL) {
+        if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+            return NULL;
+        PyErr_Clear();
+    } else {
+        int truthy = PyObject_IsTrue(name);
+        if (truthy != 0) {
+            if (truthy < 0)
+                Py_CLEAR(name);
+            return name;
+        }
+        Py_DECREF(name);
+    }
+    return PyObject_GetAttr((PyObject *)Py_TYPE(cb), str_name);
+}
+
+/* Credit one dispatched callback and its time to its kind. */
+static int
+profiler_credit(Observers *o, PyObject *cb, long long ns)
+{
+    PyObject *kind = kind_of(cb);
+    if (kind == NULL)
+        return -1;
+    Py_ssize_t i;
+    PyObject *index = PyDict_GetItemWithError(o->kinds, kind);
+    if (index != NULL) {
+        i = PyLong_AsSsize_t(index);
+    } else {
+        if (PyErr_Occurred())
+            goto fail;
+        if (o->ntotals == o->totals_cap) {
+            Py_ssize_t cap = o->totals_cap ? 2 * o->totals_cap : 16;
+            KindTotals *totals = PyMem_Realloc(o->totals, cap * sizeof(KindTotals));
+            if (totals == NULL) {
+                PyErr_NoMemory();
+                goto fail;
+            }
+            o->totals = totals;
+            o->totals_cap = cap;
+        }
+        i = o->ntotals;
+        index = PyLong_FromSsize_t(i);
+        if (index == NULL || PyDict_SetItem(o->kinds, kind, index) < 0) {
+            Py_XDECREF(index);
+            goto fail;
+        }
+        Py_DECREF(index);
+        memset(&o->totals[i], 0, sizeof(KindTotals));
+        o->ntotals += 1;
+    }
+    Py_DECREF(kind);
+    if (o->nbatch == o->batch_cap) {
+        Py_ssize_t cap = o->batch_cap ? 2 * o->batch_cap : 64;
+        Py_ssize_t *batch = PyMem_Realloc(o->batch, cap * sizeof(Py_ssize_t));
+        if (batch == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        o->batch = batch;
+        o->batch_cap = cap;
+    }
+    o->batch[o->nbatch++] = i;
+    o->totals[i].count += 1;
+    o->totals[i].ns += ns;
+    return 0;
+fail:
+    Py_DECREF(kind);
+    return -1;
+}
+
+/* EngineProfiler.record_batch: every member's kind is credited the size. */
+static void
+profiler_end_batch(Observers *o)
+{
+    Py_ssize_t n = o->nbatch;
+    if (n == 0)
+        return;
+    o->batches += 1;
+    for (Py_ssize_t j = 0; j < n; j++)
+        o->totals[o->batch[j]].batch_events += n;
+    o->nbatch = 0;
+}
+
+/* Does the next entry by (time, seq) across both heaps, a carcass or a
+ * deferral included, carry the batch at ev_time on: a light entry, or a
+ * live, undeferred Event, at ev_time?  -1 on error. */
+static int
+batch_continues(EventCore *core, PyObject *heap, long long ev_time, const Offsets *off)
+{
+    int light = core->size > 0 && core->heap[0].t == ev_time;
+    if (PyList_GET_SIZE(heap) == 0)
+        return light;
+    PyObject *entry = PyList_GET_ITEM(heap, 0);
+    long long t = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 0));
+    if (t == -1 && PyErr_Occurred())
+        return -1;
+    if (core->size > 0 && core->heap[0].t <= t) {
+        int light_first = core->heap[0].t < t;
+        if (!light_first) {
+            long long s = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
+            if (s == -1 && PyErr_Occurred())
+                return -1;
+            light_first = core->heap[0].s < s;
+        }
+        if (light_first)
+            return light;
+    }
+    if (t != ev_time)
+        return 0;
+    PyObject *ev = PyTuple_GET_ITEM(entry, 2), *owned;
+    PyObject *flag = field_get(ev, off->cancelled, str_cancelled, &owned);
+    if (flag == NULL)
+        return -1;
+    int cancelled = (flag == Py_True);
+    Py_XDECREF(owned);
+    if (cancelled)
+        return 0;
+    PyObject *dl = field_get(ev, off->deadline, str_deadline, &owned);
+    if (dl == NULL)
+        return -1;
+    long long deadline = PyLong_AsLongLong(dl);
+    Py_XDECREF(owned);
+    if (deadline == -1 && PyErr_Occurred())
+        return -1;
+    return deadline <= ev_time;
+}
+
+/* d[key] = d.get(key, 0) + delta (delta stolen) */
+static int
+dict_add(PyObject *d, PyObject *key, PyObject *delta)
+{
+    if (delta == NULL)
+        return -1;
+    PyObject *old = PyDict_GetItemWithError(d, key);
+    PyObject *sum = NULL;
+    if (old != NULL)
+        sum = PyNumber_Add(old, delta);
+    else if (!PyErr_Occurred()) {
+        sum = delta;
+        Py_INCREF(sum);
+    }
+    Py_DECREF(delta);
+    int rc = sum == NULL ? -1 : PyDict_SetItem(d, key, sum);
+    Py_XDECREF(sum);
+    return rc;
+}
+
+static int
+profiler_flush(Observers *o)
+{
+    PyObject *counts = PyObject_GetAttr(o->profiler, str_counts);
+    PyObject *times = PyObject_GetAttr(o->profiler, str_times);
+    PyObject *batch_events = PyObject_GetAttr(o->profiler, str_batch_events);
+    PyObject *batches = PyObject_GetAttr(o->profiler, str_batches);
+    PyObject *kind, *index, *sum = NULL;
+    Py_ssize_t pos = 0;
+    int rc = -1;
+    if (counts == NULL || times == NULL || batch_events == NULL || batches == NULL)
+        goto done;
+    if (!PyDict_Check(counts) || !PyDict_Check(times) || !PyDict_Check(batch_events)) {
+        PyErr_SetString(PyExc_TypeError, "profiler counts, times_s, batch_events must be dicts");
+        goto done;
+    }
+    while (PyDict_Next(o->kinds, &pos, &kind, &index)) {
+        KindTotals *k = &o->totals[PyLong_AsSsize_t(index)];
+        if (dict_add(counts, kind, PyLong_FromLongLong(k->count)) < 0 ||
+            dict_add(times, kind, PyFloat_FromDouble(k->ns * 1e-9)) < 0 ||
+            (k->batch_events > 0 &&
+             dict_add(batch_events, kind, PyLong_FromLongLong(k->batch_events)) < 0))
+            goto done;
+    }
+    PyObject *more = PyLong_FromLongLong(o->batches);
+    if (more == NULL)
+        goto done;
+    sum = PyNumber_Add(batches, more);
+    Py_DECREF(more);
+    if (sum != NULL)
+        rc = PyObject_SetAttr(o->profiler, str_batches, sum);
+done:
+    Py_XDECREF(sum);
+    Py_XDECREF(counts);
+    Py_XDECREF(times);
+    Py_XDECREF(batch_events);
+    Py_XDECREF(batches);
+    return rc;
+}
+
+/* At exit, returning or raising: the checker sees the last time, the
+ * profiler receives its totals.  A raised exception wins over any error
+ * here. */
+static int
+observers_close(Observers *o)
+{
+    SavedError saved;
+    error_save(&saved);
+    int rc = 0;
+    if (o->check != NULL && checker_handoff(o) < 0)
+        rc = -1;
+    if (o->profiler != NULL && rc == 0 && profiler_flush(o) < 0)
+        rc = -1;
+    Py_XDECREF(o->check);
+    Py_XDECREF(o->sweep);
+    Py_XDECREF(o->kinds);
+    PyMem_Free(o->totals);
+    PyMem_Free(o->batch);
+    return error_restore(&saved) ? -1 : rc;
+}
+
+/* run(sim, queue, until, limit, stop_when, noop, freelist_max, evtype,
+ *     checker, profiler)
  *
  * The dispatch loop.  Mirrors Simulator.run()'s batched pure-Python
  * loop exactly: same head-scan semantics (skip cancelled carcasses,
  * re-file deferred reschedules), same stop-condition order after every
  * callback (_stop, then stop_when, then the event limit), same freelist
- * recycling.  The pure loop batches same-timestamp events purely to
- * amortize *interpreter* overhead; here the clock store is skipped when
- * the timestamp repeats, which is observably identical.
+ * recycling, and the same service to an attached checker and profiler
+ * (None for either when absent; see "The observers" above).  The pure
+ * loop batches same-timestamp events purely to amortize *interpreter*
+ * overhead; here the clock store is skipped when the timestamp repeats,
+ * which is observably identical.
  *
  * Returns the number of events processed.
  */
 static PyObject *
 EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 8) {
+    if (nargs != 10) {
         PyErr_SetString(
             PyExc_TypeError,
-            "run expects (sim, queue, until, limit, stop_when, noop, freelist_max, evtype)");
+            "run expects (sim, queue, until, limit, stop_when, noop, freelist_max, evtype, "
+            "checker, profiler)");
         return NULL;
     }
     PyObject *sim = args[0];
@@ -887,11 +1284,19 @@ EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
     off.callback = slot_offset(evtype, str_callback);
     off.args = slot_offset(evtype, str_args);
 
+    Observers obs;
+    if (observers_open(&obs, args[8], args[9]) < 0) {
+        observers_close(&obs);
+        return NULL;
+    }
+    int profiled = obs.profiler != NULL;
+
     PyObject *heap = PyObject_GetAttr(queue, str_heap);
     PyObject *free_list = PyObject_GetAttr(queue, str_free);
     if (heap == NULL || free_list == NULL) {
         Py_XDECREF(heap);
         Py_XDECREF(free_list);
+        observers_close(&obs);
         return NULL;
     }
 
@@ -899,11 +1304,23 @@ EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
     long long last_now = -1;
 
     while (processed < limit) {
-        /* -- establish the live head of the object heap ------------- */
-        long long s_time = 0, s_seq = 0;
+        /* -- establish the live head of the object heap, when it is --
+         * -- the global head: the Python loop meets a carcass or a
+         * -- deferral only there, and its batches break at them ------- */
+        long long s_time = 0;
         int have_slow = 0;
         while (PyList_GET_SIZE(heap) > 0) {
             PyObject *entry = PyList_GET_ITEM(heap, 0);
+            long long etime = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 0));
+            if (etime == -1 && PyErr_Occurred())
+                goto error;
+            if (self->size > 0 && self->heap[0].t < etime)
+                break;  /* a light entry goes first */
+            long long eseq = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
+            if (eseq == -1 && PyErr_Occurred())
+                goto error;
+            if (self->size > 0 && self->heap[0].t == etime && self->heap[0].s < eseq)
+                break;
             PyObject *ev = PyTuple_GET_ITEM(entry, 2);
             PyObject *owned;
             PyObject *flag = field_get(ev, off.cancelled, str_cancelled, &owned);
@@ -930,9 +1347,6 @@ EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
             long long deadline = PyLong_AsLongLong(dl_obj);
             Py_XDECREF(owned);
             if (deadline == -1 && PyErr_Occurred())
-                goto error;
-            long long etime = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 0));
-            if (etime == -1 && PyErr_Occurred())
                 goto error;
             if (deadline > etime) {
                 /* stale slot from a reschedule: re-file at the true
@@ -964,28 +1378,19 @@ EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
                 continue;
             }
             s_time = etime;
-            s_seq = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
-            if (s_seq == -1 && PyErr_Occurred())
-                goto error;
             have_slow = 1;
             break;
         }
 
-        /* -- pick the global minimum across both heaps --------------- */
+        /* -- the global minimum across both heaps -------------------- */
         int take_light;
         long long ev_time;
-        if (self->size > 0) {
-            if (have_slow && (s_time < self->heap[0].t ||
-                              (s_time == self->heap[0].t && s_seq < self->heap[0].s))) {
-                take_light = 0;
-                ev_time = s_time;
-            } else {
-                take_light = 1;
-                ev_time = self->heap[0].t;
-            }
-        } else if (have_slow) {
+        if (have_slow) {
             take_light = 0;
             ev_time = s_time;
+        } else if (self->size > 0) {
+            take_light = 1;
+            ev_time = self->heap[0].t;
         } else {
             break;  /* idle */
         }
@@ -1004,6 +1409,8 @@ EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
             break;
         }
 
+        if (obs.check != NULL && checker_dispatch_time(&obs, ev_time) < 0)
+            goto error;
         if (ev_time != last_now) {
             PyObject *now = PyLong_FromLongLong(ev_time);
             if (now == NULL || field_set(sim, off.now, str_now, now) < 0) {
@@ -1015,19 +1422,30 @@ EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
         }
 
         /* -- dispatch ------------------------------------------------ */
+        PyObject *fired = NULL;  /* profiled: the callback, held until credited */
+        long long started = 0, elapsed = 0;
         if (take_light) {
             LEntry e;
             core_pop_entry(self, &e);
+            if (profiled)
+                started = mono_ns();
             int hop = hop_run(self, sim, off.now, e.cb, e.arg);
             if (hop == 0) {
                 PyObject *res = PyObject_CallOneArg(e.cb, e.arg);
                 Py_XDECREF(res);
                 hop = res == NULL ? -1 : 1;
             }
-            Py_DECREF(e.cb);
+            if (profiled) {
+                elapsed = mono_ns() - started;
+                fired = e.cb;
+            } else {
+                Py_DECREF(e.cb);
+            }
             Py_DECREF(e.arg);
-            if (hop < 0)
+            if (hop < 0) {
+                Py_XDECREF(fired);
                 goto error;
+            }
         } else {
             PyObject *entry = obj_heap_pop(heap);
             if (entry == NULL)
@@ -1072,10 +1490,18 @@ EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
             }
             if (args_owned == NULL)
                 Py_INCREF(cargs);
+            if (profiled)
+                started = mono_ns();
             PyObject *res = PyObject_Call(cb, cargs, NULL);
-            Py_DECREF(cb);
+            if (profiled) {
+                elapsed = mono_ns() - started;
+                fired = cb;
+            } else {
+                Py_DECREF(cb);
+            }
             Py_DECREF(cargs);
             if (res == NULL) {
+                Py_XDECREF(fired);
                 Py_DECREF(ev);
                 goto error;
             }
@@ -1084,6 +1510,7 @@ EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
                 if (field_set(ev, off.callback, str_callback, noop) < 0 ||
                     field_set(ev, off.args, str_args, empty_tuple) < 0 ||
                     PyList_Append(free_list, ev) < 0) {
+                    Py_XDECREF(fired);
                     Py_DECREF(ev);
                     goto error;
                 }
@@ -1092,37 +1519,53 @@ EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
         }
         processed += 1;
 
-        /* -- stop conditions, in the pure loop's order --------------- */
+        /* -- observers, then stop conditions, in the pure loop's order */
+        if (profiled) {
+            int rc = profiler_credit(&obs, fired, elapsed);
+            Py_DECREF(fired);
+            if (rc < 0)
+                goto error;
+        }
+        if (obs.check != NULL && checker_count(&obs) < 0)
+            goto error;
         PyObject *stop_owned;
         PyObject *stop_flag = field_get(sim, off.stop, str_stop, &stop_owned);
         if (stop_flag == NULL)
             goto error;
         int stop = (stop_flag == Py_True);
         Py_XDECREF(stop_owned);
-        if (stop)
-            break;
-        if (stop_when != NULL) {
+        if (!stop && stop_when != NULL) {
             PyObject *verdict = PyObject_CallNoArgs(stop_when);
             if (verdict == NULL)
                 goto error;
-            int truthy = PyObject_IsTrue(verdict);
+            stop = PyObject_IsTrue(verdict);
             Py_DECREF(verdict);
-            if (truthy < 0)
+            if (stop < 0)
                 goto error;
-            if (truthy)
-                break;
         }
+        if (profiled) {
+            int more = stop || processed >= limit ? 0 : batch_continues(self, heap, ev_time, &off);
+            if (more < 0)
+                goto error;
+            if (!more)
+                profiler_end_batch(&obs);
+        }
+        if (stop)
+            break;
     }
 
     Py_DECREF(heap);
     Py_DECREF(free_list);
     bump_processed(sim, processed);
+    if (observers_close(&obs) < 0)
+        return NULL;
     return PyLong_FromLongLong(processed);
 
 error:
     Py_DECREF(heap);
     Py_DECREF(free_list);
     bump_processed(sim, processed);
+    observers_close(&obs);
     return NULL;
 }
 
@@ -1194,6 +1637,15 @@ PyInit__evcore(void)
     INTERN(str_callback, "callback");
     INTERN(str_args, "args");
     INTERN(str_processed, "events_processed");
+    INTERN(str_qualname, "__qualname__");
+    INTERN(str_name, "__name__");
+    INTERN(str_sweep, "sweep");
+    INTERN(str_sweep_every, "sweep_every");
+    INTERN(str_check_time, "check_dispatch_time");
+    INTERN(str_counts, "counts");
+    INTERN(str_times, "times_s");
+    INTERN(str_batch_events, "batch_events");
+    INTERN(str_batches, "batches");
 #undef INTERN
     long_minus_one = PyLong_FromLong(-1);
     empty_tuple = PyTuple_New(0);

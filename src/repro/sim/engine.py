@@ -16,10 +16,11 @@ bound and the head-of-heap rescan are paid once per distinct timestamp
 instead of once per event (packet-level simulations tie heavily — fan-in
 arrivals, ACK bursts, zero-delay control packets).  That loop is the only
 Python dispatch loop: an attached invariant checker or profiler is read
-into a local once per ``run()`` call and branched on inside it, so an
-instrumented run executes the code the figures run on.  Without either,
-``run()`` hands the same frame to the optional C event core
-(``_evcore.c``), which is bit-compatible with the loop.
+into a local once per ``run()`` call and branched on inside it.  When the
+optional C event core (``_evcore.c``) is available, ``run()`` hands the
+same frame to it instead: it is bit-compatible with the loop and serves an
+attached checker and profiler at the same points, so an instrumented run
+executes the code the figures run on, natively.
 
 The simulator also owns the struct-of-arrays stores the components share:
 ``sim.pool`` (the :class:`~repro.net.pool.PacketPool` packet flyweights)
@@ -83,10 +84,8 @@ class Simulator:
         times every callback and attributes the wall time to its kind.
         Composes with ``validate``.
     native:
-        Dispatch through the C event core.  ``None`` (default) means "when
-        it is available and neither a checker nor a profiler is attached"
-        — those two observe the Python loop, so they pin dispatch to it,
-        and ``native=True`` with either raises :class:`SimulationError`.
+        Dispatch through the C event core.  ``None`` (default) or ``True``
+        means "when it is available", whatever observers are attached;
         ``False`` forces the Python loop (as ``REPRO_NATIVE=0`` does for
         every simulator in the process).
 
@@ -162,14 +161,10 @@ class Simulator:
             self.hooks = None
         # Native event core (see repro/sim/_evcore.c): owns the light-event
         # heap, the global sequence counter, and the dispatch loop.  The
-        # mode is fixed here, once — the checker and the profiler are fed
-        # from inside the Python loop, so either pins the simulator to it.
+        # mode is fixed here, once; both loops serve the checker and the
+        # profiler alike.
         core = None
-        if native is None:
-            native = self.checker is None and profiler is None
-        elif native and (self.checker is not None or profiler is not None):
-            raise SimulationError("native dispatch cannot be combined with validate/profiler")
-        if native:
+        if native is None or native:
             factory = core_factory()
             if factory is not None:
                 core = factory()
@@ -289,10 +284,11 @@ class Simulator:
 
         Returns the number of events processed in this call.
 
-        An attached checker is told every dispatched timestamp and sweeps
-        inline every ``checker.sweep_every`` events and once more when the
-        call returns; an attached profiler times every callback and is
-        told every same-timestamp batch.  Neither schedules anything, so
+        In either loop, an attached checker holds every dispatched
+        timestamp to the monotone law and sweeps inline every
+        ``checker.sweep_every`` events and once more when the call returns;
+        an attached profiler times every callback and counts every
+        same-timestamp batch.  Neither schedules anything, so
         observed runs dispatch the exact event sequence of plain ones.  On
         return, an attached tracer records each queue peak that rose.
         """
@@ -302,6 +298,7 @@ class Simulator:
         profiler = self.profiler
         limit = maxsize if max_events is None else max_events
         processed = 0
+        processed_before = self.events_processed
         self._running = True
         self._stop = False
         gc_was_enabled = gc.isenabled()
@@ -314,10 +311,20 @@ class Simulator:
             wall_started = perf_counter()
         try:
             if core is not None:
-                # Same (time, seq) order, stop-condition order and freelist
-                # recycling as the loop below (see _evcore.c).
+                # Same (time, seq) order, stop-condition order, freelist
+                # recycling and observer service as the loop below (see
+                # _evcore.c).
                 processed = core.run(
-                    self, queue, until, limit, stop_when, _noop, FREELIST_MAX, Event
+                    self,
+                    queue,
+                    until,
+                    limit,
+                    stop_when,
+                    _noop,
+                    FREELIST_MAX,
+                    Event,
+                    checker,
+                    profiler,
                 )
             else:
                 # The loop works on the queue's raw heap (same entry layout
@@ -434,9 +441,11 @@ class Simulator:
                 gc.enable()
             self._running = False
             if core is None:
+                self.events_processed += processed
+            else:
                 # The C loop credits its own progress: it has to when a
                 # callback raises, because core.run then returns no count.
-                self.events_processed += processed
+                processed = self.events_processed - processed_before
             if profiler is not None:
                 profiler.record_run(processed, perf_counter() - wall_started)
         if checker is not None:

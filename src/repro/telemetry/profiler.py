@@ -1,12 +1,16 @@
 """Opt-in engine profiling: dispatch-loop time broken down by event kind.
 
 An :class:`EngineProfiler` handed to the :class:`~repro.sim.engine.Simulator`
-pins dispatch to the engine's Python loop and makes it time every event,
-attributing the wall time to the callback's kind (keyed by
-``__qualname__``, e.g. ``OutputPort._finish_tx``).  It is the same loop
-with two clock reads per event — same ordering, same event counts, only
-slower — so profiled runs are for finding where the engine spends its
-time, never for gating results.  It composes with the invariant checker.
+makes its dispatch loop time every event, attributing the wall time to
+the callback's kind (keyed by ``__qualname__``, e.g.
+``OutputPort._finish_tx``, also when the native core runs that hop
+itself).  It is the same loop with two clock reads per event — same
+ordering, same event counts — so profiled runs are for finding where the
+engine spends its time, never for gating results.  It composes with the
+invariant checker.  The native core keeps its totals in C and hands them
+over when ``run()`` returns or raises; the Python loop
+(``REPRO_NATIVE=0``) records as it goes.  Counts and batches are the same
+either way.
 
 The loop also reports its same-timestamp *batches* to the profiler: for
 every dispatched event, the size of the batch it ran in is credited to
@@ -43,12 +47,13 @@ class EngineProfiler(Collector):
 
     # -- engine feed -------------------------------------------------------------
     def record_run(self, events: int, wall_s: float) -> None:
-        """Called by the dispatch loop as each run() returns."""
+        """Called by :meth:`Simulator.run` as each call returns or raises."""
         self.events += events
         self.wall_s += wall_s
 
     def record_batch(self, kinds: List[str]) -> None:
-        """Called once per same-timestamp batch with the kinds dispatched in it.
+        """Called by the Python loop once per same-timestamp batch with the
+        kinds dispatched in it (the native loop keeps the same tallies in C).
 
         Credits the batch size to every member event's kind, so a kind's
         ``mean_batch`` answers "when this event fires, how many events

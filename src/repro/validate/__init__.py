@@ -10,9 +10,9 @@ Two entry points:
 - :class:`InvariantChecker` — attached via ``Simulator(validate=True)``
   (or ``REPRO_VALIDATE=1``); components register themselves at
   construction and :meth:`Simulator.run` sweeps the conservation laws
-  while the simulation runs.  It pins dispatch to the engine's Python
-  loop — the one loop there is, so a validated run executes the code an
-  unvalidated pure run does, plus the checks.
+  while the simulation runs.  Either dispatch loop, the native core or
+  the Python one, sweeps it at the same events, so a validated run
+  executes the code an unvalidated run does, plus the checks.
 - ``python -m repro.validate.fuzz`` — a seeded scenario fuzzer that draws
   random topologies/protocols/workloads/faults and runs each under full
   checking plus differential (rerun and serial-vs-parallel) comparisons.

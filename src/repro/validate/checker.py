@@ -6,11 +6,13 @@ themselves to ``sim.hooks`` at construction (``sim.hooks is not None`` —
 the *only* cost paid on the normal, unobserved path) and the registry
 fans the lifecycle and per-queue drop/mark events out to the checker, the
 tracer, or both — no parallel callback chains.  :meth:`Simulator.run`
-then calls :meth:`InvariantChecker.check_dispatch_time` for every
-dispatched timestamp and :meth:`InvariantChecker.sweep` every
-``sweep_every`` events and when it returns; sweeps are plain in-loop
-calls, never scheduled events, so validated runs process the exact same
-event sequence as unvalidated ones and produce identical results.
+then holds every dispatched timestamp to
+:meth:`InvariantChecker.check_dispatch_time` (the native core compares
+them itself and hands the checker the last one before each sweep) and
+calls :meth:`InvariantChecker.sweep` every ``sweep_every`` events and when
+it returns; sweeps are plain in-loop calls, never scheduled events, so
+validated runs process the exact same event sequence as unvalidated ones
+and produce identical results.
 
 Checked invariants
 ------------------
@@ -179,7 +181,9 @@ class InvariantChecker:
 
     # -- engine hooks ------------------------------------------------------------
     def check_dispatch_time(self, time_ns: int) -> None:
-        """Called by the dispatch loop before the events at ``time_ns`` fire."""
+        """Called by the dispatch loop before the events at ``time_ns`` fire
+        (by the native loop: at a run's first timestamp, before each sweep,
+        at exit, and at any timestamp below the last)."""
         if time_ns < self._last_dispatch_ns:
             self._fail(
                 f"event dispatch time went backwards: {time_ns} < {self._last_dispatch_ns}"

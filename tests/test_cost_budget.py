@@ -13,6 +13,11 @@ memo fills).  A cell that moves past it either way fails: a new call on
 the hot path shows up here without a clock, and a saving must be
 recorded.
 
+Three more rows budget one point, ``dctcp+`` at N=120, observed natively:
+traced, validated and profiled.  The profiled row reads as the plain one
+(the core times and counts callbacks without a Python frame), and the
+validated row as the plain one plus the checker's sweeps.
+
 Regenerate after an intended change with::
 
     PYTHONPATH=src python tests/regen_cost_budget.py
@@ -29,11 +34,14 @@ import pytest
 import repro
 from repro.exec.scenario import ScenarioSpec, run_scenario
 from repro.sim import _native
+from repro.telemetry import EngineProfiler
 
 BUDGET_PATH = Path(__file__).parent / "cost_budget.json"
 TOLERANCE = 0.005
 POINTS = [(protocol, n) for protocol in ("dctcp+", "dctcp", "tcp") for n in (40, 120)]
 MODES = {"native": "1", "pure": "0"}
+#: (protocol, N, observer), budgeted in native mode only.
+OBSERVED = [("dctcp+", 120, observer) for observer in ("traced", "validated", "profiled")]
 _SRC = str(Path(repro.__file__).parent) + "/"
 
 
@@ -46,14 +54,15 @@ def _package(code) -> str:
     return filename[len(_SRC) :].split("/")[0]
 
 
-def frames_per_event(protocol: str, n_flows: int) -> dict:
+def frames_per_event(protocol: str, n_flows: int, observer: str = "") -> dict:
     """``{package: frames per event}`` for one point, in the dispatch mode
-    ``REPRO_NATIVE`` selects."""
-    spec = ScenarioSpec.create(protocol, n_flows, rounds=2, seed=1)
+    ``REPRO_NATIVE`` selects, plain or with one ``observer`` attached."""
+    spec = ScenarioSpec.create(protocol, n_flows, rounds=2, seed=1, trace=observer == "traced")
+    profiler = EngineProfiler() if observer == "profiled" else None
     profile = cProfile.Profile(builtins=False)
     profile.enable()
     try:
-        result = run_scenario(spec, validate=False)
+        result = run_scenario(spec, validate=observer == "validated", profiler=profiler)
     finally:
         profile.disable()
     by_package: dict = {}
@@ -66,12 +75,21 @@ def frames_per_event(protocol: str, n_flows: int) -> dict:
 
 
 def _row_id(point, mode) -> str:
-    return f"{point[0]}/{point[1]}/{mode}"
+    return "/".join([*map(str, point[:2]), mode, *point[2:]])
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("point", POINTS, ids=lambda p: f"{p[0]}-n{p[1]}")
 def test_frames_per_event_stay_within_the_budget(point, mode, monkeypatch):
+    _assert_within_budget(point, mode, monkeypatch)
+
+
+@pytest.mark.parametrize("point", OBSERVED, ids=lambda p: f"{p[0]}-n{p[1]}-{p[2]}")
+def test_observed_frames_per_event_stay_within_the_budget(point, monkeypatch):
+    _assert_within_budget(point, "native", monkeypatch)
+
+
+def _assert_within_budget(point, mode, monkeypatch) -> None:
     if mode == "native" and _native.core_factory() is None:
         pytest.skip(f"native core unavailable: {_native.status()}")
     monkeypatch.setenv(_native.NATIVE_ENV, MODES[mode])

@@ -5,8 +5,9 @@ Two kinds of pinning:
 - **Semantics parity**: every engine behaviour (until/max_events/
   stop_when/request_stop, cancellation, deferred reschedules, exception
   propagation, freelist recycling, light/regular interleaving) runs
-  parametrized over both dispatch modes — and over the Python loop's
-  checker and profiler branches — and must behave identically.
+  parametrized over both dispatch modes, each plain, validated and
+  profiled, and must behave identically.  Both loops feed the checker and
+  the profiler the same sweeps, counts and batches.
 - **Digest equivalence**: a full scenario simulated natively must hash
   to the same result as the pure-Python run — the bit-for-bit ordering
   guarantee the core's shared sequence counter exists to provide.
@@ -17,13 +18,14 @@ C toolchain; the engine itself falls back the same way.
 
 from __future__ import annotations
 
+import functools
 import gc
 import weakref
 
 import pytest
 
 from repro.sim import _native
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import VALIDATE_ENV, Simulator
 from repro.telemetry import EngineProfiler
 
 requires_native = pytest.mark.skipif(
@@ -39,11 +41,15 @@ def _native_simulator() -> Simulator:
 
 
 #: Simulator factories, one per dispatch mode / observer branch.
+#: "validated" and "profiled" take the default mode (native when the core
+#: is available); the "-pure" ids force the Python loop's observer branches.
 MODES = [
     pytest.param(lambda: Simulator(native=False), id="pure"),
     pytest.param(_native_simulator, marks=requires_native, id="native"),
     pytest.param(lambda: Simulator(validate=True), id="validated"),
+    pytest.param(lambda: Simulator(validate=True, native=False), id="validated-pure"),
     pytest.param(lambda: Simulator(profiler=EngineProfiler()), id="profiled"),
+    pytest.param(lambda: Simulator(profiler=EngineProfiler(), native=False), id="profiled-pure"),
 ]
 
 
@@ -61,14 +67,18 @@ class TestModeSelection:
         monkeypatch.setenv(_native.NATIVE_ENV, "0")
         assert not Simulator().native
 
-    def test_checker_and_profiler_pin_pure(self):
-        assert not Simulator(validate=True).native
-        assert not Simulator(profiler=EngineProfiler()).native
-
     @requires_native
-    def test_explicit_native_with_checker_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(validate=True, native=True)
+    def test_observed_simulator_is_native_when_available(self):
+        assert Simulator(validate=True).native
+        assert Simulator(profiler=EngineProfiler()).native
+        assert Simulator(validate=True, profiler=EngineProfiler(), native=True).native
+
+    def test_observed_simulator_forced_pure(self, monkeypatch):
+        assert not Simulator(validate=True, native=False).native
+        assert not Simulator(profiler=EngineProfiler(), native=False).native
+        monkeypatch.setenv(_native.NATIVE_ENV, "0")
+        assert not Simulator(validate=True).native
+        assert not Simulator(validate=True, profiler=EngineProfiler()).native
 
 
 class TestSemanticsParity:
@@ -272,8 +282,8 @@ _QUEUE_FIELDS = (
 
 def _counters(sim, net) -> dict:
     """Every port, queue and link counter and peak of ``net``, the hosts'
-    undeliverable and the switches' unroutable counts, the pool's totals
-    and the simulator's clock and event count."""
+    undeliverable and the switches' unroutable counts, the pool's totals,
+    the simulator's clock and event count, and the checker's sweeps."""
     ports, switches = _ports(net)
     return dict(
         ports=[
@@ -288,6 +298,7 @@ def _counters(sim, net) -> dict:
         switches=[switch.unroutable_drops for switch in switches],
         pool=(sim.pool.allocated_total, sim.pool.freed_total, sim.pool.capacity),
         clock=(sim.now, sim.events_processed),
+        sweeps=None if sim.checker is None else sim.checker.sweeps,
     )
 
 
@@ -457,3 +468,161 @@ class TestHopParity:
         assert counters == run(False)
         assert sum(counters["switches"]) == 1 and sum(counters["hosts"]) == 1
         assert counters["pool"][:2] == (2, 2)
+
+
+@requires_native
+class TestHopParityValidated(TestHopParity):
+    """Every hop parity case with the invariant checker attached in both
+    modes: it sweeps the C hop's accounts as it sweeps Python's, as often."""
+
+    @pytest.fixture(autouse=True)
+    def _validated(self, monkeypatch):
+        monkeypatch.setenv(VALIDATE_ENV, "1")
+
+
+# -- the observers both loops serve -------------------------------------------------------
+class TestObserverParity:
+    """The checker's sweeps and the profiler's counts and batches do not
+    depend on the loop that feeds them."""
+
+    @staticmethod
+    def _profile(native: bool) -> EngineProfiler:
+        """A schedule whose batches break at a cancelled and at a deferred
+        Event at one timestamp, with a method, a function, a builtin and a
+        partial as callbacks."""
+        profiler = EngineProfiler()
+        sim = Simulator(profiler=profiler, native=native)
+        assert sim.native == native
+        seen = []
+        owner = _Owner(sim)
+
+        def tick(arg):
+            seen.append(arg)
+
+        sim.schedule_light(10, tick, 0)
+        timer = sim.schedule(10, seen.append, "timer")
+        sim.schedule_light(10, tick, 1)
+        sim.cancel(sim.schedule(10, seen.append, "dead"))
+        sim.schedule_light(10, owner.fire, 2)
+        sim.schedule_light(5, lambda _a: sim.reschedule(timer, 6, tick, "late"), 0)
+        sim.schedule_light(10, functools.partial(tick), 3)
+        sim.schedule(10, tick, 4)
+        sim.schedule_light(11, tick, 5)
+        sim.run()
+        assert seen == [0, 1, 3, 4, 5, "late"]
+        return profiler
+
+    @pytest.mark.parametrize("native", [pytest.param(True, marks=requires_native), False])
+    def test_batches_break_at_carcasses_and_deferrals(self, native):
+        profiler = self._profile(native)
+        tick = "TestObserverParity._profile.<locals>.tick"
+        rearm = "TestObserverParity._profile.<locals>.<lambda>"
+        assert profiler.counts == {tick: 5, "_Owner.fire": 1, "partial": 1, rearm: 1}
+        # t=5: lambda | t=10: tick, (timer deferred) | tick, (dead) | fire,
+        # partial, tick | t=11: tick, tick
+        assert profiler.batches == 5
+        assert profiler.batch_events == {
+            tick: 1 + 1 + 3 + 2 + 2, "_Owner.fire": 3, "partial": 3, rearm: 1
+        }
+        assert profiler.events == 8 and set(profiler.times_s) == set(profiler.counts)
+
+    @requires_native
+    def test_profiles_match_pure(self):
+        native, pure = self._profile(True), self._profile(False)
+        assert native.counts == pure.counts
+        assert native.batches == pure.batches
+        assert native.batch_events == pure.batch_events
+
+    @pytest.mark.parametrize("native", [pytest.param(True, marks=requires_native), False])
+    def test_callback_raising_still_flushes_and_credits(self, native):
+        profiler = EngineProfiler()
+        sim = Simulator(profiler=profiler, native=native)
+        assert sim.native == native
+        seen = []
+        sim.schedule_light(1, seen.append, 1)
+        sim.schedule_light(1, seen.append, 2)
+        sim.schedule(2, seen.append, 3)
+        sim.schedule(2, TestSemanticsParity._boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert sim.events_processed == 3 and profiler.events == 3
+        assert profiler.counts == {"list.append": 3}
+        assert set(profiler.times_s) == {"list.append"}
+        # The t=1 batch was recorded; the raising t=2 one is dropped.
+        assert profiler.batches == 1 and profiler.batch_events == {"list.append": 4}
+
+    @requires_native
+    @pytest.mark.parametrize("sweep_every", [1, 3, 256])
+    def test_sweeps_match_pure_across_run_calls(self, sweep_every):
+        def sweeps(native):
+            sim = Simulator(validate=True, native=native)
+            assert sim.native == native
+            sim.checker.sweep_every = sweep_every
+            for t in range(40):
+                sim.schedule_light(t // 3, lambda _a: None, 0)
+            sim.run(max_events=7)
+            sim.run(until=9)
+            sim.run()
+            return sim.checker.sweeps, sim.events_processed
+
+        assert sweeps(True) == sweeps(False)
+
+    @pytest.mark.parametrize("native", [pytest.param(True, marks=requires_native), False])
+    def test_dispatch_time_going_backwards_is_caught(self, native):
+        from repro.validate import InvariantViolation
+
+        sim = Simulator(validate=True, native=native)
+        sim.schedule_light(10, lambda _a: sim.push_light(5, lambda _b: None, 0), 0)
+        with pytest.raises(InvariantViolation, match="went backwards: 5 < 10"):
+            sim.run()
+        # ... and across run() calls, as the checker saw the last time.
+        sim = Simulator(validate=True, native=native)
+        sim.schedule_light(10, lambda _a: None, 0)
+        sim.run()
+        sim.push_light(5, lambda _a: None, 0)
+        with pytest.raises(InvariantViolation, match="went backwards: 5 < 10"):
+            sim.run()
+
+    @staticmethod
+    def _point(spec, native: bool, monkeypatch):
+        from repro.exec.scenario import run_scenario
+
+        monkeypatch.setenv(_native.NATIVE_ENV, "1" if native else "0")
+        assert Simulator().native == native
+        profiler = EngineProfiler()
+        result = run_scenario(spec, validate=True, profiler=profiler)
+        return result, profiler
+
+    @requires_native
+    @pytest.mark.parametrize(
+        "spec_kwargs",
+        [
+            pytest.param(dict(protocol="dctcp+", n_flows=32, rounds=2, seed=3), id="incast"),
+            pytest.param(
+                dict(
+                    protocol="dctcp",
+                    n_flows=8,
+                    rounds=2,
+                    seed=1,
+                    topology="fat-tree",
+                    workload="http",
+                    topo=dict(fat_tree_k=4, hosts_per_edge=2),
+                ),
+                id="fat-tree-http",
+            ),
+        ],
+    )
+    def test_scenario_profiles_match_pure(self, spec_kwargs, monkeypatch):
+        from repro.exec.scenario import ScenarioSpec
+        from repro.validate.fuzz import result_digest
+
+        spec = ScenarioSpec.create(**spec_kwargs)
+        native_result, native = self._point(spec, True, monkeypatch)
+        pure_result, pure = self._point(spec, False, monkeypatch)
+        assert result_digest(native_result) == result_digest(pure_result)
+        assert native.counts == pure.counts
+        assert native.batches == pure.batches
+        assert native.batch_events == pure.batch_events
+        assert native.events == pure.events
+        # The hops the core runs itself count under their methods.
+        assert native.counts["OutputPort._finish_tx"] > 0

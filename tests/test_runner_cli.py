@@ -117,3 +117,14 @@ class TestMainExecution:
         assert "(cached)" not in cold.err
         assert warm.err.count("(cached)") == len(warm.err.splitlines()) == 3
         assert [p.name for p in cache_dir.iterdir()] == ["results.sqlite"]
+
+    def test_a_point_asked_for_twice_is_computed_once(self, capsys):
+        # fig2 --n-values 4,4 asks for each (protocol, N=4) point twice; the
+        # batch submits each once, and the table is the --n-values 4 table.
+        argv = ["fig2", "--rounds", "1", "--seeds", "1", "--json"]
+        assert main(argv + ["--n-values", "4,4"]) == 0
+        twice = capsys.readouterr()
+        assert [line.split()[0] for line in twice.err.splitlines()] == ["[1/2]", "[2/2]"]
+        assert main(argv + ["--n-values", "4"]) == 0
+        once = capsys.readouterr()
+        assert twice.out == once.out
